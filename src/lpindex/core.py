@@ -2,14 +2,16 @@
 
 Everything downstream (operator norms, numerical radius, critical points,
 the index search) reduces to maximizing piecewise-smooth functions on a
-closed interval, so the maximizer here favors robustness: a dense grid
-pre-scan localizes the best cells, golden-section refinement polishes them.
-All values are 64-bit floats and all routines are pure functions, so results
+closed interval, so the maximizer here favors robustness: a dense grid,
+geometrically refined inside the two end cells, localizes the best local
+maxima, and a vectorized re-gridding of their brackets polishes them.  All
+values are 64-bit floats and all routines are pure functions, so results
 are bit-reproducible and safe to evaluate from parallel sweeps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -17,11 +19,19 @@ from typing import Callable
 
 import numpy as np
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _EPS = sys.float_info.epsilon
 
 DEFAULT_GRID_N = 4096
 DEFAULT_TOL = 1e-12
+
+# Geometric points inside each end cell, from 1e-12 of the cell width up to it:
+# integrands with a t^(p-1) term (p near 1) or an infinite slope at s = 1 can
+# peak deep inside an end cell, where the uniform grid has no point.
+_END_POINTS = 48
+# Points per bracket per refinement step; each step narrows a bracket 32-fold.
+_REFINE_POINTS = 65
+_REFINE_U = np.linspace(0.0, 1.0, _REFINE_POINTS)
+_REFINE_U.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ class BracketedMax:
     """Result of a bracketed 1-d maximization.
 
     value equals the objective evaluated at argmax (recomputable bit-for-bit);
-    tol is the half-width of the final golden-section bracket.
+    tol is the half-width of the final refinement bracket around argmax.
     """
 
     value: float
@@ -91,82 +101,25 @@ class BracketedMax:
     evaluations: int
 
 
-def _eval_grid(objective: Callable, ts: np.ndarray) -> np.ndarray:
-    """Evaluate the objective on a grid, vectorized when the callable allows it."""
-    try:
-        ys = np.asarray(objective(ts), dtype=float)
-        if ys.shape == ts.shape:
-            return ys
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(objective(float(t))) for t in ts])
+@functools.lru_cache(maxsize=16)
+def _grid(lo: float, hi: float, grid_n: int) -> np.ndarray:
+    """Read-only pre-scan grid: grid_n+1 uniform points plus geometric end-cell points."""
+    h = (hi - lo) / grid_n
+    geo = h * np.geomspace(1e-12, 1.0, _END_POINTS + 1)[:-1]
+    ts = np.unique(np.concatenate((np.linspace(lo, hi, grid_n + 1), lo + geo, hi - geo)))
+    ts.flags.writeable = False
+    return ts
 
 
-def _golden_max(objective: Callable, a: float, b: float, tol: float):
-    """Golden-section search for a maximum on [a, b].
-
-    Returns (best_x, best_y, evaluations, final_half_width); best is tracked
-    over every point probed, endpoints included.
-    """
-    evals = 0
-
-    def ev(x):
-        nonlocal evals
-        y = float(objective(x))
-        evals += 1
-        if not math.isfinite(y):
-            raise FloatingPointError(f"objective returned non-finite value at t={x!r}")
-        return y
-
-    best_x, best_y = a, ev(a)
-    yb = ev(b)
-    if yb > best_y:
-        best_x, best_y = b, yb
-    h = b - a
-    if h / 2.0 <= tol:
-        return best_x, best_y, evals, h / 2.0
-
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    yc, yd = ev(c), ev(d)
-    if yc > best_y:
-        best_x, best_y = c, yc
-    if yd > best_y:
-        best_x, best_y = d, yd
-
-    for _ in range(300):
-        if (b - a) / 2.0 <= tol:
-            break
-        if yc >= yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = b - _INV_PHI * h
-            yc = ev(c)
-            if yc > best_y:
-                best_x, best_y = c, yc
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
-            yd = ev(d)
-            if yd > best_y:
-                best_x, best_y = d, yd
-        if h <= 4.0 * _EPS * (abs(a) + abs(b)):
-            break
-    return best_x, best_y, evals, (b - a) / 2.0
-
-
-def _top_separated(ys: np.ndarray, k: int) -> list[int]:
-    """Indices of the k best grid values, greedily skipping adjacent cells."""
-    order = np.argsort(ys, kind="stable")[::-1]
-    chosen: list[int] = []
-    for i in order:
-        i = int(i)
-        if all(abs(i - j) > 1 for j in chosen):
-            chosen.append(i)
-        if len(chosen) >= k:
-            break
-    return chosen
+def _evaluate(objective: Callable, ts: np.ndarray) -> np.ndarray:
+    """Evaluate a vectorized objective elementwise, rejecting non-finite values."""
+    ys = np.asarray(objective(ts), dtype=float)
+    if ys.shape != ts.shape:
+        raise TypeError(f"objective must map an array of shape {ts.shape} to the same shape")
+    if not np.isfinite(ys).all():
+        bad = ts[~np.isfinite(ys)][0]
+        raise FloatingPointError(f"objective returned non-finite value at t={bad!r}")
+    return ys
 
 
 def maximize_1d(
@@ -177,13 +130,16 @@ def maximize_1d(
     tol: float = DEFAULT_TOL,
     polish_k: int = 1,
 ) -> BracketedMax:
-    """Maximize a real objective on [lo, hi].
+    """Maximize a vectorized real objective on [lo, hi].
 
-    Dense pre-scan on grid_n+1 equispaced points, then golden-section
-    refinement of the best grid cell (the best polish_k separated cells when
-    polish_k > 1, which guards against near-tied local maxima).  The returned
-    value is never below the best grid value, and the final bracket half-width
-    is at most tol.  Deterministic: identical inputs give identical outputs.
+    The objective is called on numpy arrays (1-d for the pre-scan, 2-d for the
+    refinement) and must return an array of the same shape.  The pre-scan
+    grid holds grid_n+1 equispaced points plus geometric points inside the two
+    end cells.  The best grid point (the polish_k best grid local maxima when
+    polish_k > 1, which guards against near-tied or narrow peaks) is bracketed
+    by its grid neighbours, and all brackets are re-gridded together until
+    their half-width is at most tol.  The returned value is never below the
+    best grid value.  Deterministic: identical inputs give identical outputs.
     Non-finite objective values raise FloatingPointError.
     """
     lo = float(lo)
@@ -197,26 +153,43 @@ def maximize_1d(
     if polish_k < 1:
         raise ValueError(f"polish_k must be >= 1, got {polish_k}")
 
-    ts = np.linspace(lo, hi, grid_n + 1)
-    ys = _eval_grid(objective, ts)
-    if not np.isfinite(ys).all():
-        bad = ts[~np.isfinite(ys)][0]
-        raise FloatingPointError(f"objective returned non-finite value at t={bad!r}")
-    evals = int(ts.size)
+    ts = _grid(lo, hi, grid_n)
+    ys = _evaluate(objective, ts)
+    evals = ts.size
+    if polish_k == 1:
+        idx = np.array([np.argmax(ys)])
+    else:
+        left = np.concatenate(([True], ys[1:] >= ys[:-1]))
+        right = np.concatenate((ys[:-1] >= ys[1:], [True]))
+        peaks = np.flatnonzero(left & right)
+        idx = peaks[np.argsort(-ys[peaks], kind="stable")[:polish_k]]
 
-    best_i = int(np.argmax(ys))
-    best_t = float(ts[best_i])
-    best_y = float(ys[best_i])
+    rows = np.arange(idx.size)
+    best_t, best_y = ts[idx], ys[idx]
+    a = ts[np.maximum(idx - 1, 0)]
+    b = ts[np.minimum(idx + 1, ts.size - 1)]
+    while True:
+        w = b - a
+        if not (w > 2.0 * tol).any():
+            break
+        pts = a[:, None] + w[:, None] * _REFINE_U
+        vals = _evaluate(objective, pts)
+        evals += pts.size
+        j = vals.argmax(axis=1)
+        y = vals[rows, j]
+        better = y > best_y
+        best_t[better] = pts[rows, j][better]
+        best_y[better] = y[better]
+        # the new bracket is two steps wide and holds the row's best point
+        j = np.minimum(np.maximum(j, 1), _REFINE_POINTS - 2)
+        a, b = pts[rows, j - 1], pts[rows, j + 1]
+        if not (b - a < w).any():
+            break  # brackets at the resolution of floating point
 
-    half = (hi - lo) / (2.0 * grid_n)
-    for i in _top_separated(ys, polish_k):
-        a = float(ts[max(i - 1, 0)])
-        b = float(ts[min(i + 1, grid_n)])
-        x, y, n, hw = _golden_max(objective, a, b, tol)
-        evals += n
-        if i == best_i:
-            half = hw
-        if y > best_y:
-            best_t, best_y = x, y
-            half = hw
-    return BracketedMax(value=best_y, argmax=best_t, tol=half, evaluations=evals)
+    k = int(best_y.argmax())
+    return BracketedMax(
+        value=float(best_y[k]),
+        argmax=float(best_t[k]),
+        tol=float((b[k] - a[k]) / 2.0),
+        evaluations=evals,
+    )

@@ -87,9 +87,10 @@ def phi_derivative(t: float, e: Exponent) -> float:
 def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
     """Maximize |t^(p-1) - t|/(1 + t^p) over [0, 1].
 
-    Grid-plus-golden first, then bisection on the sign of the closed-form
-    derivative wherever a sign change brackets the grid argmax.  p = 2 is an
-    explicit degenerate branch (the numerator vanishes identically).
+    The shared maximizer (grid pre-scan plus bracket refinement) first, then
+    bisection on the sign of the closed-form derivative wherever a sign change
+    brackets its argmax.  p = 2 is an explicit degenerate branch (the numerator
+    vanishes identically).
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -120,7 +121,7 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
         t_ref = 0.5 * (lo + hi)
         v_ref = float(f(t_ref))
         # the bisected root is the better argmax; only reject it if its value
-        # trails the golden-section best by more than rounding noise
+        # trails the maximizer's best by more than rounding noise
         if v_ref >= mp - 8.0 * _EPS * abs(mp):
             t0, mp = t_ref, v_ref
         resid = sgn * phi_derivative(t0, e)

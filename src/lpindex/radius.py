@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID_N, Exponent, Mat2, _golden_max, _top_separated, maximize_1d
+from .core import DEFAULT_GRID_N, Exponent, Mat2, maximize_1d
 
 
 @dataclass(frozen=True)
@@ -81,39 +81,27 @@ def radius_oracle(T: Mat2, e: Exponent, grid_n: int = DEFAULT_GRID_N) -> float:
     x runs over the half unit sphere x = (sigma*s, (1-s^p)^(1/p)), s in [0, 1]
     (enough, since the pairing is invariant under x -> -x), and x* is the
     duality map (sgn(x1)|x1|^(p-1), sgn(x2)|x2|^(p-1)), the unique norming
-    functional for 1 < p < infinity.  The grid includes both endpoints exactly
-    because the duality-map exponent p-1 < 1 is non-smooth at the axes; the
-    best cells get one golden-section polish each.
+    functional for 1 < p < infinity.  Each sign sigma is one call of the shared
+    maximizer with its two best grid local maxima polished: the duality-map
+    exponent p-1 < 1 is non-smooth at the axes, and near s = 1 the pairing can
+    hold a narrow peak above the grid values of a broad lower mode.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
     a, b, c, d = T.as_tuple()
     p = e.p
 
-    s = np.linspace(0.0, 1.0, grid_n + 1)
-    comp = np.maximum(1.0 - s**p, 0.0) ** (1.0 / p)
-    s_dual = s ** (p - 1.0)
-    comp_dual = comp ** (p - 1.0)
-
     def pairing(sig):
-        x1 = sig * s
-        x1s = sig * s_dual
-        return np.abs(x1s * (a * x1 + b * comp) + comp_dual * (c * x1 + d * comp))
+        def f(s):
+            x1 = sig * s
+            x2 = np.maximum(1.0 - s**p, 0.0) ** (1.0 / p)
+            x1s = sig * s ** (p - 1.0)
+            x2s = x2 ** (p - 1.0)
+            return np.abs(x1s * (a * x1 + b * x2) + x2s * (c * x1 + d * x2))
 
-    def pairing_scalar(t, sig):
-        x1 = sig * t
-        x2 = max(1.0 - t**p, 0.0) ** (1.0 / p)
-        x1s = sig * t ** (p - 1.0)
-        x2s = x2 ** (p - 1.0)
-        return abs(x1s * (a * x1 + b * x2) + x2s * (c * x1 + d * x2))
+        return f
 
-    best = 0.0
-    for sig in (1.0, -1.0):
-        ys = pairing(sig)
-        best = max(best, float(ys.max()))
-        for i in _top_separated(ys, 2):
-            lo = float(s[max(i - 1, 0)])
-            hi = float(s[min(i + 1, grid_n)])
-            x, y, _, _ = _golden_max(lambda t, sig=sig: pairing_scalar(t, sig), lo, hi, 1e-12)
-            best = max(best, y)
-    return best
+    return max(
+        maximize_1d(pairing(sig), 0.0, 1.0, grid_n=grid_n, tol=1e-12, polish_k=2).value
+        for sig in (1.0, -1.0)
+    )

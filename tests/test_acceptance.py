@@ -222,3 +222,10 @@ def test_criterion_8_known_sandwich(theorem_estimates):
         ok &= lower - 1e-6 <= est.value <= est.mp + 1e-6
         worst_slack = min(worst_slack, est.value - lower)
     assert report(8, ok, f"min estimate-lower_bound slack={worst_slack:.3e}")
+
+
+def test_converged_flags(theorem_estimates):
+    # at 64 starts the best three re-evaluated starts disagree at p = 1.2 only
+    estimates, _ = theorem_estimates
+    flags = {p: estimates[p].converged for p in (1.2, 1.3, 3.0, 6.0)}
+    assert flags == {1.2: False, 1.3: True, 3.0: True, 6.0: True}

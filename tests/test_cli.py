@@ -108,6 +108,25 @@ class TestCounterexample:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mp", "1.5", "--tol", "0"],
+        ["mp", "1.5", "--tol", "nan"],
+        ["radius", "1.5", "0", "1", "-1", "0", "--tol", "0"],
+        ["opnorm", "1.5", "1", "0", "0", "1", "--tol", "nan"],
+        ["index", "3", "--starts", "2", "--tol", "nan"],
+        ["radius", "1.5", "inf", "1", "-1", "0"],
+        ["opnorm", "1.5", "1", "nan", "0", "1"],
+    ],
+)
+def test_invalid_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 class TestVerify:
     def test_small_grid_passes(self, capsys):
         code, out = run(capsys, "verify", "--pmin", "1.25", "--pmax", "1.45", "--n", "4")

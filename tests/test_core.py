@@ -64,7 +64,7 @@ class TestMaximize1d:
         assert r.argmax == pytest.approx(0.073924, abs=1e-5)
 
     def test_constant_objective(self):
-        r = maximize_1d(lambda t: 1.0, 0.0, 1.0, grid_n=10, tol=1e-6)
+        r = maximize_1d(np.ones_like, 0.0, 1.0, grid_n=10, tol=1e-6)
         assert r.value == 1.0
         assert 0.0 <= r.argmax <= 1.0
 
@@ -74,13 +74,13 @@ class TestMaximize1d:
         assert abs(r.argmax - math.pi / 2.0) <= 1e-7
 
     def test_argmax_value_recomputable(self):
-        f = lambda t: math.exp(-3.0 * (t - 0.3) ** 2) + 0.1 * math.cos(9.0 * t)
+        f = lambda t: np.exp(-3.0 * (t - 0.3) ** 2) + 0.1 * np.cos(9.0 * t)
         r = maximize_1d(f, 0.0, 1.0, grid_n=256, tol=1e-12)
         assert f(r.argmax) == r.value
         assert 0.0 <= r.argmax <= 1.0
 
     def test_deterministic(self):
-        f = lambda t: t * (1.0 - t) * math.sin(20.0 * t)
+        f = lambda t: t * (1.0 - t) * np.sin(20.0 * t)
         assert maximize_1d(f, 0.0, 1.0) == maximize_1d(f, 0.0, 1.0)
 
     def test_invalid_bracket(self):
@@ -97,19 +97,26 @@ class TestMaximize1d:
 
     def test_non_finite_objective_propagates(self):
         def f(t):
-            return math.inf if t > 0.5 else float(t)
+            return np.where(t > 0.5, math.inf, t)
 
         with pytest.raises(FloatingPointError):
             maximize_1d(f, 0.0, 1.0, grid_n=10, tol=1e-6)
 
-    def test_scalar_only_objective_supported(self):
-        def f(t):
-            if isinstance(t, np.ndarray):
-                raise TypeError("scalar only")
-            return -((t - 0.25) ** 2)
+    def test_narrow_peak_beats_broad_mode(self):
+        # A broad mode at 0.3 and a narrow, higher tent whose grid values all
+        # lie below the broad mode's: the second polish must go to the tent's
+        # grid local maximum, not to a second point of the broad mode.
+        c = (922 + 0.3) / 1024
 
-        r = maximize_1d(f, 0.0, 1.0, grid_n=100, tol=1e-10)
-        assert r.argmax == pytest.approx(0.25, abs=1e-8)
+        def f(t):
+            return np.maximum(1.0 - (t - 0.3) ** 2, 1.5 - 2000.0 * np.abs(t - c))
+
+        ts = np.linspace(0.0, 1.0, 1025)
+        near_c = np.abs(ts - c) < 1e-3
+        assert f(ts)[near_c].max() < f(ts)[~near_c].max()
+        r = maximize_1d(f, 0.0, 1.0, grid_n=1024, tol=1e-12, polish_k=2)
+        assert r.value == pytest.approx(1.5, abs=1e-8)
+        assert r.argmax == pytest.approx(c, abs=1e-11)
 
     @given(st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=0.1, max_value=50.0))
     @settings(max_examples=60, deadline=None)
@@ -124,7 +131,7 @@ class TestMaximize1d:
         for _ in range(15):
             a, b, c, d = rng.uniform(-10.0, 10.0, 4)
             p = float(rng.uniform(1.05, 8.0))
-            f = lambda t: (abs(a + d * t**p) + abs(b * t + c * t ** (p - 1.0))) / (1.0 + t**p)
+            f = lambda t: (np.abs(a + d * t**p) + np.abs(b * t + c * t ** (p - 1.0))) / (1.0 + t**p)
             vals = [maximize_1d(f, 0.0, 1.0, grid_n=n, tol=1e-12).value for n in (512, 1024, 2048)]
             assert vals[1] >= vals[0] - 1e-13
             assert vals[2] >= vals[1] - 1e-13

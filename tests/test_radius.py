@@ -100,6 +100,35 @@ class TestOracle:
             o = radius_oracle(T, e)
             assert abs(v - o) <= 1e-7
 
+    @pytest.mark.parametrize(
+        "p,entries",
+        [
+            (
+                4.0 / 3.0,
+                (-0.5518220615869183, 0.008950902941888828, -1.4239017920428232, 5.894800825590547),
+            ),
+            (
+                10.0,
+                (-9.756545272715947, 2.1473376321321336, -6.964750855977324, 6.641073509616405),
+            ),
+            (
+                1.1,
+                (-1.4447120441843673, 0.00035317809758694807, -3.4559011403251905, -8.277395658815426),
+            ),
+        ],
+    )
+    def test_peaks_inside_an_end_cell(self, p, entries):
+        # the maxima of these operators lie inside the first or last cell of
+        # the 4096-point grid, or next to a broad lower mode
+        e = make_exponent(p)
+        T = Mat2(*entries)
+        v = numerical_radius(T, e).value
+        o = radius_oracle(T, e)
+        n = op_norm(T, e).norm
+        assert abs(v - o) <= 1e-7
+        assert v <= n + 1e-10
+        assert o <= n + 1e-10
+
 
 class TestRadiusProperties:
     @pytest.mark.parametrize("p", [1.2, 2.0, 5.0])
