@@ -87,10 +87,12 @@ def phi_derivative(t: float, e: Exponent) -> float:
 def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
     """Maximize |t^(p-1) - t|/(1 + t^p) over [0, 1].
 
-    The shared maximizer (grid pre-scan plus bracket refinement) first, then
-    bisection on the sign of the closed-form derivative wherever a sign change
-    brackets its argmax.  p = 2 is an explicit degenerate branch (the numerator
-    vanishes identically).
+    The shared maximizer's grid pre-scan localizes the argmax to one cell, and
+    bisection on the sign of the closed-form derivative polishes it wherever a
+    sign change brackets that cell.  Where none does, or the bisected root
+    trails the grid's best value by more than rounding noise, the maximizer's
+    bracket refinement to tol gives the result instead.  p = 2 is an explicit
+    degenerate branch (the numerator vanishes identically).
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -100,15 +102,16 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
 
     sgn = 1.0 if p < 2.0 else -1.0
     f = lambda t: objective(t, e)
-    r = maximize_1d(f, 0.0, 1.0, grid_n=DEFAULT_GRID_N, tol=tol)
+    # grid argmax only (a tol of one cell skips the refinement); the bisection
+    # below polishes it, and the refined maximizer is the fallback
+    h = 1.0 / DEFAULT_GRID_N
+    r = maximize_1d(f, 0.0, 1.0, grid_n=DEFAULT_GRID_N, tol=h)
     t0, mp = r.argmax, r.value
 
     # The derivative blows up as t -> 0+ for p < 2, so the bisection bracket
-    # starts from the grid-localized cell, clear of the singular endpoints.
-    h = 1.0 / DEFAULT_GRID_N
+    # starts from the grid cell, clear of the singular endpoints.
     lo = max(t0 - h, 1e-12)
     hi = min(t0 + h, 1.0 - 1e-12)
-    resid = sgn * phi_derivative(t0, e) if 0.0 < t0 < 1.0 else math.nan
     if lo < hi and sgn * phi_derivative(lo, e) > 0.0 > sgn * phi_derivative(hi, e):
         while hi - lo > 2.0 * _EPS * hi:
             mid = 0.5 * (lo + hi)
@@ -121,10 +124,14 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
         t_ref = 0.5 * (lo + hi)
         v_ref = float(f(t_ref))
         # the bisected root is the better argmax; only reject it if its value
-        # trails the maximizer's best by more than rounding noise
+        # trails the grid's best by more than rounding noise
         if v_ref >= mp - 8.0 * _EPS * abs(mp):
-            t0, mp = t_ref, v_ref
-        resid = sgn * phi_derivative(t0, e)
+            resid = sgn * phi_derivative(t_ref, e)
+            return CriticalPoint(p=p, t0=t_ref, mp=v_ref, derivative_residual=resid, degenerate=False)
+
+    r = maximize_1d(f, 0.0, 1.0, grid_n=DEFAULT_GRID_N, tol=tol)
+    t0, mp = r.argmax, r.value
+    resid = sgn * phi_derivative(t0, e) if 0.0 < t0 < 1.0 else math.nan
     return CriticalPoint(p=p, t0=t0, mp=mp, derivative_residual=resid, degenerate=False)
 
 

@@ -6,7 +6,11 @@ signs never raises the ratio, so this class attains the infimum).  Scale
 invariance lets the search live on the unit 4-cube with max-entry
 normalization.  The search itself is a multi-start Nelder-Mead simplex,
 reflected at the cube boundary, over a cheap grid-cached surrogate of the
-ratio; every candidate is re-evaluated at tight tolerance before reporting.
+ratio.  The starts run in lockstep: every simplex step evaluates the
+surrogate once, as one array operation, for all starts still active, and
+each start follows exactly the path a lone run would.  The start points are
+an Owen-scrambled Halton sequence built here from numpy's generator.  Every
+candidate is re-evaluated at tight tolerance before reporting.
 
 verify_claim_region numerically minimizes the closed-form lower-bound ratio
 max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) over three constrained operator
@@ -21,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import Exponent, Mat2
 from .critical import compute_mp
@@ -138,6 +141,31 @@ def _fold01(x: np.ndarray) -> np.ndarray:
     return np.where(y > 1.0, 2.0 - y, y)
 
 
+def _halton(n: int, seed: int) -> np.ndarray:
+    """First n points of the Owen-scrambled Halton sequence on bases 2, 3, 5, 7, shape (n, 4).
+
+    One random digit permutation per base and digit position, drawn in order
+    from np.random.default_rng(seed), for every position whose weight b^-k
+    still counts in a double (Owen 2017, arXiv:1706.02808); the same points
+    as scipy.stats.qmc.Halton(d=4, scramble=True, seed=seed).random(n).
+    """
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    cols = []
+    for b in (2, 3, 5, 7):
+        col = np.zeros(n)
+        q = i.copy()
+        b2r = 1.0 / b
+        for _ in range(math.ceil(54 / math.log2(b)) - 1):
+            perm = np.arange(b)
+            rng.shuffle(perm)
+            col += perm[q % b] * b2r
+            b2r /= b
+            q //= b
+        cols.append(col)
+    return np.column_stack(cols)
+
+
 def _nelder_mead(fn, x0: np.ndarray, step: float = 0.05, max_iter: int = 400, ftol: float = 1e-11):
     """Deterministic Nelder-Mead minimizer (reflect 1, expand 2, contract/shrink 0.5)."""
     n = x0.size
@@ -182,6 +210,58 @@ def _nelder_mead(fn, x0: np.ndarray, step: float = 0.05, max_iter: int = 400, ft
     return simplex[i].copy(), float(vals[i])
 
 
+def _nelder_mead_lockstep(fn, x0: np.ndarray):
+    """_nelder_mead, with its default settings, run from every row of x0 (shape (S, n)) at once.
+
+    fn maps a (k, n) array of points to their (k,) values.  Each iteration
+    makes at most three fn calls for all still-active starts: reflection,
+    expansion/contraction (disjoint sets), shrink.  Per start the arithmetic
+    is _nelder_mead's, so endpoints and values match it bit for bit.
+    Returns the (S, n) endpoints and their (S,) values.
+    """
+    step, max_iter, ftol = 0.05, 400, 1e-11
+    S, n = x0.shape
+    simplex = np.repeat(x0[:, None, :], n + 1, axis=1)
+    simplex[:, np.arange(1, n + 1), np.arange(n)] += step
+    vals = fn(simplex.reshape(-1, n)).reshape(S, n + 1)
+    act = np.arange(S)
+
+    for _ in range(max_iter):
+        order = np.argsort(vals[act], axis=1, kind="stable")
+        simplex[act] = np.take_along_axis(simplex[act], order[:, :, None], axis=1)
+        vals[act] = np.take_along_axis(vals[act], order, axis=1)
+        sx, sv = simplex[act], vals[act]
+        done = (sv[:, -1] - sv[:, 0] <= ftol) & (np.abs(sx[:, 1:] - sx[:, :1]).max(axis=(1, 2)) <= 1e-8)
+        act, sx, sv = act[~done], sx[~done], sv[~done]
+        if act.size == 0:
+            break
+        centroid = sx[:, :-1].mean(axis=1)
+        worst = sx[:, -1]
+        xr = centroid + (centroid - worst)
+        fr = fn(xr)
+        expand = fr < sv[:, 0]
+        contract = ~expand & ~(fr < sv[:, -2])
+        outside = (fr < sv[:, -1])[:, None]
+        xc = np.where(outside, centroid + 0.5 * (xr - centroid), centroid + 0.5 * (worst - centroid))
+        x2 = np.where(expand[:, None], centroid + 2.0 * (centroid - worst), xc)
+        second = expand | contract
+        f2 = np.full_like(fr, np.inf)
+        if second.any():
+            f2[second] = fn(x2[second])
+        take = (expand & (f2 < fr)) | (contract & (f2 < np.minimum(fr, sv[:, -1])))
+        shrink = contract & ~take
+        keep = ~shrink
+        simplex[act[keep], -1] = np.where(take[:, None], x2, xr)[keep]
+        vals[act[keep], -1] = np.where(take, f2, fr)[keep]
+        if shrink.any():
+            rows = act[shrink]
+            best = simplex[rows, :1]
+            simplex[rows, 1:] = best + 0.5 * (simplex[rows, 1:] - best)
+            vals[rows, 1:] = fn(simplex[rows, 1:].reshape(-1, n)).reshape(rows.size, n)
+    i = vals.argmin(axis=1)
+    return simplex[np.arange(S), i], vals[np.arange(S), i]
+
+
 class _RatioSearch:
     """Grid-cached surrogate of v(T)/||T|| for sign-pattern operators.
 
@@ -199,63 +279,61 @@ class _RatioSearch:
         self.tp = t**p
         self.tp1 = t ** (p - 1.0)
         self.denom = 1.0 + self.tp
-        self.x1 = t
-        self.x2 = np.maximum(1.0 - t**p, 0.0) ** (1.0 / p)
+        # the unit-sphere quadrant arc (t, (1 - t^p)^(1/p)), swapped and
+        # sign-flipped into the four arcs that carry the operator norm
+        x2 = np.maximum(1.0 - self.tp, 0.0) ** (1.0 / p)
+        self.u1 = np.concatenate((t, t, x2, x2))
+        self.u2 = np.concatenate((x2, -x2, t, -t))
 
-    def ratio(self, a: float, b: float, c: float, d: float) -> float:
-        v1 = np.max((np.abs(a - d * self.tp) + np.abs(b * self.t - c * self.tp1)) / self.denom)
-        v2 = np.max((np.abs(d - a * self.tp) + np.abs(c * self.t - b * self.tp1)) / self.denom)
-        v = v1 if v1 >= v2 else v2
-        p = self.p
-        m = 0.0
-        for u1, u2 in ((self.x1, self.x2), (self.x2, self.x1)):
-            for sg in (1.0, -1.0):
-                w1 = np.abs(a * u1 + sg * b * u2)
-                w2 = np.abs(c * u1 + sg * d * u2)
-                q = float(np.max(w1**p + w2**p))
-                if q > m:
-                    m = q
-        return float(v) / m ** (1.0 / p)
+    def ratio(self, Y: np.ndarray) -> np.ndarray:
+        """Surrogate ratios of the operators in the rows (a, b, c, d) of Y, shape (S, 4)."""
+        a, b, c, d = (Y[:, k, None] for k in range(4))
+        v1 = ((np.abs(a - d * self.tp) + np.abs(b * self.t - c * self.tp1)) / self.denom).max(axis=1)
+        v2 = ((np.abs(d - a * self.tp) + np.abs(c * self.t - b * self.tp1)) / self.denom).max(axis=1)
+        w1 = np.abs(a * self.u1 + b * self.u2)
+        w2 = np.abs(c * self.u1 + d * self.u2)
+        m = (w1**self.p + w2**self.p).max(axis=1)
+        # the last power per row in Python floats: numpy's vectorized power can
+        # differ from libm pow in the last bit, which changes simplex paths
+        r = 1.0 / self.p
+        return np.array([v / mm**r for v, mm in zip(np.maximum(v1, v2).tolist(), m.tolist())])
+
+    def search_obj(self, X: np.ndarray) -> np.ndarray:
+        """Surrogate ratios of the points X, shape (S, 4), folded into the cube and
+        normalized to max entry 1; 2.0 (above any ratio) where a point folds to 0."""
+        Y = _fold01(X)
+        m = Y.max(axis=1)
+        live = m >= 1e-12
+        out = np.full(len(Y), 2.0)
+        if live.any():
+            out[live] = self.ratio(Y[live] / m[live, None])
+        return out
 
 
 def estimate_index(e: Exponent, starts: int = 64, seed: int = 0, tol: float = 1e-10) -> IndexEstimate:
     """Multi-start minimization of v(T)/||T|| over the sign-pattern 4-cube.
 
-    Starts are scrambled-Halton points plus the deterministic rotation start
-    (0, 1, 1, 0); the rotation is also always re-evaluated as a candidate, so
-    the estimate can never exceed the rotation's ratio.  Deterministic given
-    (starts, seed).  converged is True when the best three re-evaluated starts
-    agree within 10*tol.
+    Starts are the deterministic rotation start (0, 1, 1, 0) plus starts - 1
+    scrambled-Halton points (_halton(starts - 1, seed)).  All starts run one
+    lockstep Nelder-Mead over the grid surrogate; each endpoint, and the
+    rotation itself, is then re-evaluated at tol, so the estimate can never
+    exceed the rotation's ratio.  Deterministic given (starts, seed).
+    converged is True when the best three re-evaluated starts agree within
+    10*tol.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
 
-    ctx = _RatioSearch(e)
-
-    def search_obj(x):
-        y = _fold01(x)
-        m = float(y.max())
-        if m < 1e-12:
-            return 2.0
-        y = y / m
-        return ctx.ratio(y[0], y[1], y[2], y[3])
-
     rotation = np.array([0.0, 1.0, 1.0, 0.0])
-    start_pts = [rotation]
-    if starts > 1:
-        start_pts += list(qmc.Halton(d=4, scramble=True, seed=seed).random(starts - 1))
-
-    endpoints = []
-    for x0 in start_pts:
-        x, _ = _nelder_mead(search_obj, np.asarray(x0, dtype=float))
-        endpoints.append(x)
+    start_pts = np.vstack([rotation, _halton(starts - 1, seed)])
+    endpoints, _ = _nelder_mead_lockstep(_RatioSearch(e).search_obj, start_pts)
 
     mp = compute_mp(e, tol=tol)
     best = None
     per_start = []
-    for k, x in enumerate([rotation] + endpoints):
+    for k, x in enumerate([rotation, *endpoints]):
         y = _fold01(x)
         m = float(y.max())
         if m < 1e-12:

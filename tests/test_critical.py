@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpindex import compute_mp, lemma21_bounds, make_exponent, phi_derivative
+from lpindex.core import maximize_1d
 from lpindex.critical import objective
 
 
@@ -48,6 +49,21 @@ class TestComputeMp:
         for p in (1.05, 1.16, 1.3, 1.9, 2.2, 4.0, 12.0):
             cp = compute_mp(make_exponent(p))
             assert abs(cp.derivative_residual) <= 1e-10
+
+    @pytest.mark.parametrize("p", [1.9433333333333334, 1.99, 2.01])
+    def test_bisected_root_near_p2(self, p):
+        # near p = 2 the objective is so flat that a refined grid maximizer
+        # lands 1e-9 off the root; bisecting from the grid cell finds it
+        assert abs(compute_mp(make_exponent(p)).derivative_residual) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1.0 + 1e-12, 2.0 - 1e-9, 2.0 + 1e-9])
+    def test_refined_fallback(self, p):
+        # no usable derivative sign change around the grid cell: the result is
+        # the shared maximizer refined to tol
+        e = make_exponent(p)
+        r = maximize_1d(lambda t: objective(t, e), 0.0, 1.0, tol=1e-10)
+        cp = compute_mp(e, tol=1e-10)
+        assert (cp.t0, cp.mp) == (r.argmax, r.value)
 
     def test_value_in_unit_interval(self):
         for p in (1.01, 1.5, 2.5, 15.0):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpindex
 from lpindex import (
     Mat2,
     SignPatternOp,
@@ -19,6 +24,7 @@ from lpindex import (
     riesz_thorin_bound,
     verify_claim_region,
 )
+from lpindex.index import _halton, _nelder_mead, _nelder_mead_lockstep, _RatioSearch
 
 ROTATION_PATTERN = SignPatternOp(0.0, 1.0, 1.0, 0.0)
 
@@ -173,6 +179,103 @@ class TestEstimateIndex:
             estimate_index(e, starts=0)
         with pytest.raises(ValueError):
             estimate_index(e, tol=0.0)
+
+
+def _scalar_runs(obj, starts, ftol=1e-11):
+    """_nelder_mead from each start on a batched objective, one point at a time.
+
+    Returns the endpoints, their values, the evaluation count per start and
+    whether the start ever shrank: a shrink evaluates best + 0.5 (v - best) for
+    earlier points v, best being the lowest point evaluated so far.
+    """
+    ends, vals, counts, shrank = [], [], [], []
+    for x0 in starts:
+        pts = np.empty((2500, 4))
+        fs = []
+        best = 0
+        hit = False
+
+        def fn(x):
+            nonlocal best, hit
+            k = len(fs)
+            if k:
+                b = pts[best]
+                hit = hit or bool((x == b + 0.5 * (pts[:k] - b)).all(axis=1).any())
+            pts[k] = x
+            fs.append(float(obj(x[None])[0]))
+            if fs[-1] < fs[best]:
+                best = k
+            return fs[-1]
+
+        x, f = _nelder_mead(fn, x0, ftol=ftol)
+        ends.append(x)
+        vals.append(f)
+        counts.append(len(fs))
+        shrank.append(hit)
+    return np.array(ends), np.array(vals), np.array(counts), np.array(shrank)
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("p", [1.3, 4.0])
+    def test_matches_scalar_nelder_mead(self, p):
+        obj = _RatioSearch(make_exponent(p)).search_obj
+        starts = _halton(16, 0)
+        x, f = _nelder_mead_lockstep(obj, starts)
+        x_ref, f_ref, counts, shrank = _scalar_runs(obj, starts)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(f, f_ref)
+        # the starts cover every branch of the lockstep bookkeeping: some stop
+        # at their own break (a run that never breaks evaluates more points),
+        # some run to max_iter, and some shrink
+        never_break = _scalar_runs(obj, starts, ftol=-1.0)[2]
+        stopped = counts < never_break
+        assert stopped.any() and not stopped.all()
+        assert shrank.any()
+
+    def test_surrogate_rows_are_independent(self):
+        ctx = _RatioSearch(make_exponent(1.3))
+        Y = np.vstack([[0.0, 1.0, 1.0, 0.0], np.random.default_rng(3).uniform(0.0, 1.0, (7, 4))])
+        r = ctx.ratio(Y)
+        assert r.shape == (8,)
+        for i in range(len(Y)):
+            assert r[i] == ctx.ratio(Y[i : i + 1])[0]
+
+    def test_start_folding_to_zero_scores_two(self):
+        ctx = _RatioSearch(make_exponent(1.3))
+        out = ctx.search_obj(np.array([[2.0, 0.0, -2.0, 4.0], [0.0, 1.0, 1.0, 0.0]]))
+        assert out[0] == 2.0
+        assert out[1] == ctx.ratio(np.array([[0.0, 1.0, 1.0, 0.0]]))[0]
+
+    @pytest.mark.parametrize("starts", [1, 2])
+    def test_few_starts(self, starts):
+        e = make_exponent(1.3)
+        est = estimate_index(e, starts=starts, seed=0)
+        assert est.starts == starts
+        assert not est.converged
+        assert est.value <= est.mp + 1e-6
+
+
+class TestHalton:
+    def test_matches_scipy(self):
+        qmc = pytest.importorskip("scipy.stats").qmc
+        for seed in (0, 1, 7, 2**31 - 1):
+            for n in (1, 7, 63):
+                ref = qmc.Halton(d=4, scramble=True, seed=seed).random(n)
+                assert np.array_equal(_halton(n, seed), ref)
+
+    def test_points_in_unit_cube(self):
+        pts = _halton(255, 5)
+        assert pts.shape == (255, 4)
+        assert ((pts >= 0.0) & (pts < 1.0)).all()
+        assert _halton(0, 5).shape == (0, 4)
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(lpindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, lpindex; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestClaimRegions:
