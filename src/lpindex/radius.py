@@ -61,8 +61,6 @@ def numerical_radius(
     grid_n: int = DEFAULT_GRID_N,
 ) -> RadiusResult:
     """Numerical radius via the two-branch closed form."""
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
     r1 = maximize_1d(branch_integrand(T, e), 0.0, 1.0, grid_n=grid_n, tol=tol, polish_k=2)
     r2 = maximize_1d(
         branch_integrand(conjugate_by_swap(T), e), 0.0, 1.0, grid_n=grid_n, tol=tol, polish_k=2

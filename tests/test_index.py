@@ -308,6 +308,26 @@ class TestClaimRegions:
         assert rep.infimum_found <= alpha_ratio(T, e, t0_of(1.16)) + 1e-9
 
 
+    @pytest.mark.parametrize("claim_id, p", [(1, 1.3), (2, 1.3), (3, 1.3), (3, 1.1)])
+    def test_slack_is_that_of_the_searched_constraints(self, claim_id, p):
+        e = make_exponent(p)
+        rep = verify_claim_region(claim_id, e, force=True)
+        a, b, c, d = rep.worst_point.as_tuple()
+        t0 = t0_of(p)
+        t2p = t0 ** (2.0 - p)
+        searched = {
+            1: (b - c, (a + c) - (b + d)),
+            2: (d - a, (a + c) - (b + d), c * t2p - (c + a - d)),
+            3: (d - a, b - c * t2p, b),
+        }[claim_id]
+        assert rep.feasibility_slack == pytest.approx(min(searched), abs=1e-15)
+        assert rep.feasibility_slack >= -1e-12
+        if claim_id == 3:
+            # the searched set lies inside claim 3's region, since kappa >= 1
+            region = (d - a, (a + c) - (b + d), (c + a - d) - c * t2p)
+            assert min(region) >= -1e-12
+
+
 class TestRemarkCounterexample:
     def test_reference_values(self):
         rec = remark_counterexample(1.16)

@@ -11,6 +11,7 @@ from lpindex import (
     numerical_radius,
     op_norm,
     radius_oracle,
+    riesz_thorin_bound,
 )
 
 ROTATION = Mat2(0, 1, -1, 0)
@@ -161,3 +162,41 @@ class TestRadiusProperties:
         T = Mat2(a, b, c, d)
         flattened = Mat2(abs(a), abs(b), -abs(c), -abs(d))
         assert numerical_radius(flattened, e).value <= numerical_radius(T, e).value + 1e-9
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("p", [1.0001, 1.3, 50.0, 1000.0])
+    def test_zero_operator(self, p):
+        e = make_exponent(p)
+        Z = Mat2(0.0, 0.0, 0.0, 0.0)
+        assert numerical_radius(Z, e).value == 0.0
+        assert radius_oracle(Z, e) == 0.0
+        assert op_norm(Z, e).norm == 0.0
+        assert riesz_thorin_bound(Z, e) == 0.0
+
+    # Tolerances are relative because the values run from 1e-300 to 1e306.  The
+    # interpolation bound n1^(1/p) ninf^(1/q) loses about |ln n1| eps per power
+    # (1.6e-13 at n1 = 2e306), so at 1e306 * ones and p = 1.0001 op_norm exceeds
+    # it by 2e-14 relative, and the radius exceeds op_norm by one ulp there.
+    @pytest.mark.parametrize("p", [1.0001, 1.3, 50.0, 1000.0])
+    @pytest.mark.parametrize(
+        "scale, base",
+        [
+            (1e306, Mat2(1.0, 1.0, 1.0, 1.0)),
+            (1e300, Mat2(1.0, -3.0, 2.0, -1.0)),
+            (-1e300, Mat2(0.0, 1.0, -1.0, 0.0)),
+            (1e-300, Mat2(1.0, 2.0, -3.0, 0.5)),
+            (1.0, Mat2(1e300, 1e-300, -1e-300, 1.0)),
+        ],
+    )
+    def test_extreme_entries(self, p, scale, base):
+        e = make_exponent(p)
+        T = base.scaled(scale)
+        v = numerical_radius(T, e).value
+        n = op_norm(T, e).norm
+        assert 0.0 < v <= n * (1.0 + 1e-14)
+        assert n <= riesz_thorin_bound(T, e) * (1.0 + 1e-12)
+        assert radius_oracle(T, e) == pytest.approx(v, rel=1e-10)
+        # homogeneity survives the extreme scale
+        assert v == pytest.approx(abs(scale) * numerical_radius(base, e).value, rel=1e-12)
+        assert n == pytest.approx(abs(scale) * op_norm(base, e).norm, rel=1e-12)
