@@ -106,7 +106,9 @@ def _grid(lo: float, hi: float, grid_n: int) -> np.ndarray:
     """Read-only pre-scan grid: grid_n+1 uniform points plus geometric end-cell points."""
     h = (hi - lo) / grid_n
     geo = h * np.geomspace(1e-12, 1.0, _END_POINTS + 1)[:-1]
-    ts = np.unique(np.concatenate((np.linspace(lo, hi, grid_n + 1), lo + geo, hi - geo)))
+    ts = np.sort(np.concatenate((np.linspace(lo, hi, grid_n + 1), lo + geo, hi - geo)))
+    # drop repeats without np.unique, which imports numpy.ma
+    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
     ts.flags.writeable = False
     return ts
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -184,6 +186,15 @@ def _fold01(x: np.ndarray) -> np.ndarray:
     return np.where(y > 1.0, 2.0 - y, y)
 
 
+def _fold01_floats(x) -> list[float]:
+    """_fold01 of a sequence of Python floats, bit for bit, as a list of floats."""
+    out = []
+    for v in x:
+        y = abs(v) % 2.0
+        out.append(2.0 - y if y > 1.0 else y)
+    return out
+
+
 def _halton(n: int, seed: int) -> np.ndarray:
     """First n points of the Owen-scrambled Halton sequence on bases 2, 3, 5, 7, shape (n, 4).
 
@@ -209,27 +220,37 @@ def _halton(n: int, seed: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _nelder_mead(fn, x0: np.ndarray, ftol: float = _NM_FTOL):
-    """Deterministic Nelder-Mead minimizer (reflect 1, expand 2, contract/shrink 0.5)."""
-    n = x0.size
-    simplex = np.empty((n + 1, n))
-    simplex[0] = x0
-    for i in range(n):
-        simplex[i + 1] = x0
-        simplex[i + 1, i] += _NM_STEP
-    vals = np.array([fn(simplex[i]) for i in range(n + 1)])
+def _nelder_mead(fn, x0, ftol: float = _NM_FTOL):
+    """Deterministic Nelder-Mead minimizer (reflect 1, expand 2, contract/shrink 0.5) on Python floats.
+
+    fn maps a list of n floats to a float.  Vertices are lists, not arrays:
+    the claim polish minimizes 3- and 4-vectors, where numpy's fixed cost per
+    call outweighs the arithmetic, and each objective must stay on floats
+    anyway (numpy's array power differs from libm pow on about 5% of inputs).
+    Each step does the array form's arithmetic in the same order (the
+    centroid sums the first n vertices in sequence, as numpy's mean(axis=0)
+    does; the sort is stable), so _nelder_mead_lockstep, which steps numpy
+    arrays, reproduces it bit for bit.
+    Returns the best vertex, as a list, and its value.
+    """
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    simplex = [x0] + [x0[:i] + [x0[i] + _NM_STEP] + x0[i + 1 :] for i in range(n)]
+    vals = [fn(x) for x in simplex]
 
     for _ in range(_NM_MAX_ITER):
-        order = np.argsort(vals, kind="stable")
-        simplex = simplex[order]
-        vals = vals[order]
-        if vals[-1] - vals[0] <= ftol and np.max(np.abs(simplex[1:] - simplex[0])) <= 1e-8:
+        order = sorted(range(n + 1), key=vals.__getitem__)
+        simplex = [simplex[i] for i in order]
+        vals = [vals[i] for i in order]
+        best, worst = simplex[0], simplex[-1]
+        if vals[-1] - vals[0] <= ftol and max(abs(v - b) for x in simplex[1:] for v, b in zip(x, best)) <= 1e-8:
             break
-        centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + (centroid - simplex[-1])
+        # reduce, not sum: sum() compensates float rounding from Python 3.12 on
+        centroid = [reduce(add, col) / n for col in zip(*simplex[:-1])]
+        xr = [c + (c - w) for c, w in zip(centroid, worst)]
         fr = fn(xr)
         if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
+            xe = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             fe = fn(xe)
             if fe < fr:
                 simplex[-1], vals[-1] = xe, fe
@@ -239,18 +260,18 @@ def _nelder_mead(fn, x0: np.ndarray, ftol: float = _NM_FTOL):
             simplex[-1], vals[-1] = xr, fr
         else:
             if fr < vals[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
+                xc = [c + 0.5 * (r - c) for c, r in zip(centroid, xr)]
             else:
-                xc = centroid + 0.5 * (simplex[-1] - centroid)
+                xc = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
             fc = fn(xc)
             if fc < min(fr, vals[-1]):
                 simplex[-1], vals[-1] = xc, fc
             else:
                 for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    simplex[i] = [b + 0.5 * (v - b) for b, v in zip(best, simplex[i])]
                     vals[i] = fn(simplex[i])
-    i = int(np.argmin(vals))
-    return simplex[i].copy(), float(vals[i])
+    i = min(range(n + 1), key=vals.__getitem__)
+    return simplex[i], vals[i]
 
 
 def _nelder_mead_lockstep(fn, x0: np.ndarray):
@@ -471,7 +492,7 @@ def verify_claim_region(
     tracked = [(float(ratio[i]), (float(A[i]), float(B[i]), float(C[i]), float(D[i])))]
 
     def polish_obj(x):
-        a, b, c, d = _claim_entries(claim_id, _fold01(x).tolist(), pts)
+        a, b, c, d = _claim_entries(claim_id, _fold01_floats(x), pts)
         if max(a, b, c, d) < 1e-12:
             return 2.0
         slack = min(_claim_slacks(claim_id, a, b, c, d, t2p))
@@ -480,7 +501,7 @@ def verify_claim_region(
             tracked[0] = (val, (a, b, c, d))
         return val + 10.0 * max(0.0, -slack)
 
-    _nelder_mead(polish_obj, np.array([x[i] for x in X]), ftol=1e-14)
+    _nelder_mead(polish_obj, [x[i] for x in X], ftol=1e-14)
 
     best_val, (a, b, c, d) = tracked[0]
     m = max(a, b, c, d)

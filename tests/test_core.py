@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpindex import Mat2, make_exponent, maximize_1d
+from lpindex.core import _END_POINTS, _grid
 
 EPS = sys.float_info.epsilon
 
@@ -135,3 +136,13 @@ class TestMaximize1d:
             vals = [maximize_1d(f, 0.0, 1.0, grid_n=n, tol=1e-12).value for n in (512, 1024, 2048)]
             assert vals[1] >= vals[0] - 1e-13
             assert vals[2] >= vals[1] - 1e-13
+
+    # the last two brackets are narrow enough that end-cell points repeat
+    @pytest.mark.parametrize(
+        "lo, hi, grid_n",
+        [(0.0, 1.0, 4096), (0.0, 1.0, 3), (-2.5, 7.0, 100), (1.0, 1.0 + 1e-9, 64), (0.3, 0.3 + 2.0**-40, 5)],
+    )
+    def test_grid_equals_np_unique(self, lo, hi, grid_n):
+        geo = (hi - lo) / grid_n * np.geomspace(1e-12, 1.0, _END_POINTS + 1)[:-1]
+        ref = np.unique(np.concatenate((np.linspace(lo, hi, grid_n + 1), lo + geo, hi - geo)))
+        assert np.array_equal(_grid(lo, hi, grid_n), ref)

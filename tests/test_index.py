@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpindex
 from lpindex import (
@@ -24,7 +26,17 @@ from lpindex import (
     riesz_thorin_bound,
     verify_claim_region,
 )
-from lpindex.index import _halton, _nelder_mead, _nelder_mead_lockstep, _RatioSearch
+from lpindex.index import (
+    _claim_slacks,
+    _fold01,
+    _fold01_floats,
+    _halton,
+    _lower_ratio,
+    _nelder_mead,
+    _nelder_mead_lockstep,
+    _RatioSearch,
+    _t0_powers,
+)
 
 ROTATION_PATTERN = SignPatternOp(0.0, 1.0, 1.0, 0.0)
 
@@ -197,6 +209,7 @@ def _scalar_runs(obj, starts, ftol=1e-11):
 
         def fn(x):
             nonlocal best, hit
+            x = np.asarray(x)
             k = len(fs)
             if k:
                 b = pts[best]
@@ -215,10 +228,36 @@ def _scalar_runs(obj, starts, ftol=1e-11):
     return np.array(ends), np.array(vals), np.array(counts), np.array(shrank)
 
 
+def _claim2_penalized(p):
+    """Claim 2's polish objective, without the tracking, on folded points, one row at a time."""
+    e = make_exponent(p)
+    pts = _t0_powers(e, t0_of(p))
+    t2p = pts[0] ** (2.0 - p)
+
+    def obj(X):
+        out = []
+        for a, b, c, d in _fold01(X).tolist():
+            slack = min(_claim_slacks(2, a, b, c, d, t2p))
+            out.append(_lower_ratio(a, b, c, d, e, pts) + 10.0 * max(0.0, -slack))
+        return np.array(out)
+
+    return obj
+
+
 class TestLockstepSearch:
-    @pytest.mark.parametrize("p", [1.3, 4.0])
-    def test_matches_scalar_nelder_mead(self, p):
-        obj = _RatioSearch(make_exponent(p)).search_obj
+    @pytest.mark.parametrize(
+        "make_obj",
+        [
+            lambda: _RatioSearch(make_exponent(1.3)).search_obj,
+            lambda: _RatioSearch(make_exponent(4.0)).search_obj,
+            lambda: _claim2_penalized(1.3),
+        ],
+        ids=["1.3", "4.0", "claim2-penalized-1.3"],
+    )
+    def test_matches_scalar_nelder_mead(self, make_obj):
+        # _nelder_mead runs on Python floats, _nelder_mead_lockstep on numpy
+        # arrays: each checks the other's arithmetic
+        obj = make_obj()
         starts = _halton(16, 0)
         x, f = _nelder_mead_lockstep(obj, starts)
         x_ref, f_ref, counts, shrank = _scalar_runs(obj, starts)
@@ -231,6 +270,17 @@ class TestLockstepSearch:
         stopped = counts < never_break
         assert stopped.any() and not stopped.all()
         assert shrank.any()
+
+    def test_ties_rank_alike(self):
+        # a rounded objective ties vertices often: both routines must order
+        # tied vertices as a stable sort does
+        base = _claim2_penalized(1.3)
+        obj = lambda X: np.round(base(X), 3)
+        starts = _halton(16, 0)
+        x, f = _nelder_mead_lockstep(obj, starts)
+        x_ref, f_ref = _scalar_runs(obj, starts)[:2]
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(f, f_ref)
 
     def test_surrogate_rows_are_independent(self):
         ctx = _RatioSearch(make_exponent(1.3))
@@ -270,12 +320,38 @@ class TestHalton:
         assert _halton(0, 5).shape == (0, 4)
 
 
-def test_import_leaves_scipy_out():
+def _fresh_python(code):
     src = str(Path(lpindex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, lpindex; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_out():
+    assert _fresh_python("import sys, lpindex; print('scipy' in sys.modules)") == "False"
+
+
+def test_maximizer_leaves_numpy_ma_out():
+    code = "import sys, lpindex; lpindex.compute_mp(lpindex.make_exponent(1.3)); print('numpy.ma' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=-1e6, max_value=1e6),
+            st.just(-0.0),
+            st.integers(-10**6, 10**6).map(float),
+            st.integers(-10**5, 10**5).map(lambda k: float(2 * k + 1)),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_float_fold_matches_array_fold(xs):
+    got = np.array(_fold01_floats(xs))
+    assert got.view(np.int64).tolist() == _fold01(np.array(xs)).view(np.int64).tolist()
 
 
 class TestClaimRegions:
