@@ -13,6 +13,7 @@ Usage:
 """
 
 import argparse
+import math
 import sys
 
 from lpindex import make_exponent, verify_claim_region
@@ -25,8 +26,8 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=int, default=23)
     ap.add_argument("--grid-n", type=int, default=16)
     args = ap.parse_args(argv)
-    if not (1.0 < args.pmin <= args.pmax) or args.n < 2:
-        ap.error("need 1 < pmin <= pmax and n >= 2")
+    if not (1.0 < args.pmin <= args.pmax < math.inf) or args.n < 2:
+        ap.error("need 1 < pmin <= pmax < inf and n >= 2")
 
     step = (args.pmax - args.pmin) / (args.n - 1)
     violating = []

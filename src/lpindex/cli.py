@@ -252,8 +252,8 @@ def _write_sweep_json(path: str, rows: list[dict]) -> None:
 def cmd_sweep(args) -> int:
     if not (math.isfinite(args.pmin) and args.pmin > 1.0):
         return _fail(f"pmin must be > 1, got {args.pmin}")
-    if args.pmax < args.pmin:
-        return _fail(f"pmax must be >= pmin, got [{args.pmin}, {args.pmax}]")
+    if not (args.pmin <= args.pmax < math.inf):
+        return _fail(f"pmax must be finite and >= pmin, got [{args.pmin}, {args.pmax}]")
     if args.n < 2:
         return _fail(f"n must be >= 2, got {args.n}")
     out = args.out

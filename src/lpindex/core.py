@@ -1,9 +1,10 @@
-"""Shared domain types and the deterministic bracketed 1-d maximizer.
+"""Shared domain types and the deterministic 1-d maximizer on [0, 1].
 
 Everything downstream (operator norms, numerical radius, critical points,
-the index search) reduces to maximizing piecewise-smooth functions on a
-closed interval, so the maximizer here favors robustness: a dense grid,
-geometrically refined inside the two end cells, localizes the best local
+the index search) reduces to maximizing piecewise-smooth functions of
+t in [0, 1], so there is one maximizer, called the same way by every layer:
+maximize_1d(objective, tol).  It favors robustness: one fixed dense grid,
+geometrically refined inside the two end cells, localizes the two best local
 maxima, and a vectorized re-gridding of their brackets polishes them.  All
 values are 64-bit floats and all routines are pure functions, so results
 are bit-reproducible and safe to evaluate from parallel sweeps.
@@ -11,23 +12,23 @@ are bit-reproducible and safe to evaluate from parallel sweeps.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-_EPS = sys.float_info.epsilon
-
 DEFAULT_GRID_N = 4096
-DEFAULT_TOL = 1e-12
 
 # Geometric points inside each end cell, from 1e-12 of the cell width up to it:
 # integrands with a t^(p-1) term (p near 1) or an infinite slope at s = 1 can
 # peak deep inside an end cell, where the uniform grid has no point.
 _END_POINTS = 48
+# The pre-scan grid: DEFAULT_GRID_N + 1 uniform points on [0, 1] plus the
+# end-cell points, sorted (no two coincide).
+_END_GEO = np.geomspace(1e-12, 1.0, _END_POINTS + 1)[:-1] / DEFAULT_GRID_N
+_GRID = np.sort(np.concatenate((np.linspace(0.0, 1.0, DEFAULT_GRID_N + 1), _END_GEO, 1.0 - _END_GEO)))
+_GRID.flags.writeable = False
 # Points per bracket per refinement step; each step narrows a bracket 32-fold.
 _REFINE_POINTS = 65
 _REFINE_U = np.linspace(0.0, 1.0, _REFINE_POINTS)
@@ -36,26 +37,20 @@ _REFINE_U.flags.writeable = False
 
 @dataclass(frozen=True)
 class Exponent:
-    """An exponent p in (1, inf) together with its conjugate q = p/(p-1)."""
+    """An exponent p in (1, inf) together with its conjugate q = p/(p-1), derived from p."""
 
     p: float
-    q: float
+    q: float = field(init=False)
 
     def __post_init__(self):
         if not math.isfinite(self.p) or self.p <= 1.0:
             raise ValueError(f"p must be finite and > 1, got {self.p!r}")
-        if not math.isfinite(self.q):
-            raise ValueError(f"q must be finite, got {self.q!r}")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 4.0 * _EPS:
-            raise ValueError(f"q={self.q!r} is not conjugate to p={self.p!r}")
+        object.__setattr__(self, "q", self.p / (self.p - 1.0))
 
 
 def make_exponent(p: float) -> Exponent:
-    """Validate p and derive the conjugate exponent q = p/(p-1)."""
-    p = float(p)
-    if not math.isfinite(p) or p <= 1.0:
-        raise ValueError(f"p must be finite and > 1, got {p!r}")
-    return Exponent(p=p, q=p / (p - 1.0))
+    """The Exponent of float(p); raises ValueError unless p is finite and > 1."""
+    return Exponent(float(p))
 
 
 @dataclass(frozen=True)
@@ -101,18 +96,6 @@ class BracketedMax:
     evaluations: int
 
 
-@functools.lru_cache(maxsize=16)
-def _grid(lo: float, hi: float, grid_n: int) -> np.ndarray:
-    """Read-only pre-scan grid: grid_n+1 uniform points plus geometric end-cell points."""
-    h = (hi - lo) / grid_n
-    geo = h * np.geomspace(1e-12, 1.0, _END_POINTS + 1)[:-1]
-    ts = np.sort(np.concatenate((np.linspace(lo, hi, grid_n + 1), lo + geo, hi - geo)))
-    # drop repeats without np.unique, which imports numpy.ma
-    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
-    ts.flags.writeable = False
-    return ts
-
-
 def _evaluate(objective: Callable, ts: np.ndarray) -> np.ndarray:
     """Evaluate a vectorized objective elementwise, rejecting non-finite values."""
     ys = np.asarray(objective(ts), dtype=float)
@@ -124,52 +107,35 @@ def _evaluate(objective: Callable, ts: np.ndarray) -> np.ndarray:
     return ys
 
 
-def maximize_1d(
-    objective: Callable,
-    lo: float,
-    hi: float,
-    grid_n: int = DEFAULT_GRID_N,
-    tol: float = DEFAULT_TOL,
-    polish_k: int = 1,
-) -> BracketedMax:
-    """Maximize a vectorized real objective on [lo, hi].
+def maximize_1d(objective: Callable, tol: float) -> BracketedMax:
+    """Maximize a vectorized real objective on [0, 1].
 
     The objective is called on numpy arrays (1-d for the pre-scan, 2-d for the
     refinement) and must return an array of the same shape.  The pre-scan
-    grid holds grid_n+1 equispaced points plus geometric points inside the two
-    end cells.  The best grid point (the polish_k best grid local maxima when
-    polish_k > 1, which guards against near-tied or narrow peaks) is bracketed
-    by its grid neighbours, and all brackets are re-gridded together until
-    their half-width is at most tol.  The returned value is never below the
-    best grid value.  Deterministic: identical inputs give identical outputs.
-    Non-finite objective values raise FloatingPointError.
+    grid is fixed: DEFAULT_GRID_N + 1 equispaced points plus geometric points
+    inside the two end cells.  The two best grid local maxima (two, which
+    guards against near-tied or narrow peaks) are bracketed by their grid
+    neighbours, and both brackets are re-gridded together until their
+    half-width is at most tol.  A bracket starts two grid cells wide, so a tol
+    of at least one cell, 1/DEFAULT_GRID_N, returns the grid argmax unrefined.
+    The returned value is never below the best grid value.  Deterministic:
+    identical inputs give identical outputs.  Non-finite objective values
+    raise FloatingPointError.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"invalid bracket [{lo!r}, {hi!r}]")
-    if grid_n < 3:
-        raise ValueError(f"grid_n must be >= 3, got {grid_n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    if polish_k < 1:
-        raise ValueError(f"polish_k must be >= 1, got {polish_k}")
 
-    ts = _grid(lo, hi, grid_n)
-    ys = _evaluate(objective, ts)
-    evals = ts.size
-    if polish_k == 1:
-        idx = np.array([np.argmax(ys)])
-    else:
-        left = np.concatenate(([True], ys[1:] >= ys[:-1]))
-        right = np.concatenate((ys[:-1] >= ys[1:], [True]))
-        peaks = np.flatnonzero(left & right)
-        idx = peaks[np.argsort(-ys[peaks], kind="stable")[:polish_k]]
+    ys = _evaluate(objective, _GRID)
+    evals = _GRID.size
+    left = np.concatenate(([True], ys[1:] >= ys[:-1]))
+    right = np.concatenate((ys[:-1] >= ys[1:], [True]))
+    peaks = np.flatnonzero(left & right)
+    idx = peaks[np.argsort(-ys[peaks], kind="stable")[:2]]
 
     rows = np.arange(idx.size)
-    best_t, best_y = ts[idx], ys[idx]
-    a = ts[np.maximum(idx - 1, 0)]
-    b = ts[np.minimum(idx + 1, ts.size - 1)]
+    best_t, best_y = _GRID[idx], ys[idx]
+    a = _GRID[np.maximum(idx - 1, 0)]
+    b = _GRID[np.minimum(idx + 1, _GRID.size - 1)]
     while True:
         w = b - a
         if not (w > 2.0 * tol).any():

@@ -15,6 +15,7 @@ not merely up to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -84,6 +85,7 @@ def phi_derivative(t: float, e: Exponent) -> float:
     return (((p - 1.0) * tp2 - 1.0) * (1.0 + tp) - p * tp1 * (tp1 - t)) / (1.0 + tp) ** 2
 
 
+@functools.lru_cache(maxsize=1)
 def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
     """Maximize |t^(p-1) - t|/(1 + t^p) over [0, 1].
 
@@ -93,6 +95,11 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
     trails the grid's best value by more than rounding noise, the maximizer's
     bracket refinement to tol gives the result instead.  p = 2 is an explicit
     degenerate branch (the numerator vanishes identically).
+
+    The last result is cached, so the several calls that one verify or sweep
+    row makes for its exponent compute it once; rows never share an exponent,
+    so one entry is enough.  The cache key is the call as spelled:
+    compute_mp(e) and compute_mp(e, tol=1e-10) are separate entries.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -102,10 +109,10 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
 
     sgn = 1.0 if p < 2.0 else -1.0
     f = lambda t: objective(t, e)
-    # grid argmax only (a tol of one cell skips the refinement); the bisection
-    # below polishes it, and the refined maximizer is the fallback
+    # a tol of one grid cell returns the grid argmax unrefined; the bisection
+    # below polishes it, and the maximizer refined to tol is the fallback
     h = 1.0 / DEFAULT_GRID_N
-    r = maximize_1d(f, 0.0, 1.0, grid_n=DEFAULT_GRID_N, tol=h)
+    r = maximize_1d(f, h)
     t0, mp = r.argmax, r.value
 
     # The derivative blows up as t -> 0+ for p < 2, so the bisection bracket
@@ -129,7 +136,7 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
             resid = sgn * phi_derivative(t_ref, e)
             return CriticalPoint(p=p, t0=t_ref, mp=v_ref, derivative_residual=resid, degenerate=False)
 
-    r = maximize_1d(f, 0.0, 1.0, grid_n=DEFAULT_GRID_N, tol=tol)
+    r = maximize_1d(f, tol)
     t0, mp = r.argmax, r.value
     resid = sgn * phi_derivative(t0, e) if 0.0 < t0 < 1.0 else math.nan
     return CriticalPoint(p=p, t0=t0, mp=mp, derivative_residual=resid, degenerate=False)
@@ -144,7 +151,7 @@ def _real_pow(base: float, expo: float) -> float:
         return math.nan
 
 
-def lemma21_bounds(e: Exponent, tol: float = 1e-10) -> BoundsReport:
+def lemma21_bounds(e: Exponent) -> BoundsReport:
     """Evaluate the t0 bracket and the exponent inequality at one p.
 
     Outside [6/5, 3/2] the report is still computed but flagged
@@ -156,8 +163,7 @@ def lemma21_bounds(e: Exponent, tol: float = 1e-10) -> BoundsReport:
 
     lower = _real_pow((2.0 * p - 2.0) / (4.0 - p), 1.0 / (2.0 - p)) if p != 2.0 else math.nan
     upper = _real_pow((p - 1.0) / (2.0 * p + 1.0), 1.0 / p)
-    cp = compute_mp(e, tol=tol)
-    t0 = cp.t0
+    t0 = compute_mp(e).t0
     lhs = _real_pow(t0, 2.0 * p - 3.0)
     rhs = q / p
 

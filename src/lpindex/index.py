@@ -28,7 +28,7 @@ from operator import add
 
 import numpy as np
 
-from .core import Exponent, Mat2
+from .core import Exponent, Mat2, make_exponent
 from .critical import compute_mp
 from .norms import op_norm
 from .radius import numerical_radius
@@ -36,6 +36,9 @@ from .radius import numerical_radius
 _CLAIM_RANGES = {1: (1.0, 1.5), 2: (1.0, 1.5), 3: (1.2, 1.5)}
 
 REMARK_ENTRIES = (0.0487295, 13.639181, 15.0, 1.0)
+
+# Grid intervals of the index surrogate on t in [0, 1]
+_SURROGATE_N = 256
 
 # Nelder-Mead initial simplex edge, iteration cap and default stopping spread
 _NM_STEP = 0.05
@@ -334,10 +337,10 @@ class _RatioSearch:
     tightly afterwards.
     """
 
-    def __init__(self, e: Exponent, n: int = 256):
+    def __init__(self, e: Exponent):
         p = e.p
         self.p = p
-        t = np.linspace(0.0, 1.0, n + 1)
+        t = np.linspace(0.0, 1.0, _SURROGATE_N + 1)
         self.t = t
         self.tp = t**p
         self.tp1 = t ** (p - 1.0)
@@ -522,7 +525,7 @@ def remark_counterexample(p: float = 1.16) -> RemarkRecord:
     p = float(p)
     if not (1.0 < p < 2.0):
         raise ValueError(f"p must lie in (1, 2), got {p!r}")
-    e = Exponent(p=p, q=p / (p - 1.0))
+    e = make_exponent(p)
     cp = compute_mp(e)
     T = SignPatternOp(*REMARK_ENTRIES)
     ratio = alpha_ratio(T, e, cp.t0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID_N, Exponent, Mat2, maximize_1d
+from .core import Exponent, Mat2, maximize_1d
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,7 @@ def _chart_objective(T: Mat2, p: float, sign: int, swapped: bool):
     return f
 
 
-def op_norm(
-    T: Mat2,
-    e: Exponent,
-    tol: float = 1e-10,
-    grid_n: int = DEFAULT_GRID_N,
-) -> OpNormResult:
+def op_norm(T: Mat2, e: Exponent, tol: float = 1e-10) -> OpNormResult:
     """sup of ||Tx||_p over the l_p unit sphere.
 
     Scans the two charts with both relative signs of the coordinates
@@ -98,14 +93,7 @@ def op_norm(
     best = None
     for swapped in (False, True):
         for sign in (1, -1):
-            r = maximize_1d(
-                _chart_objective(T, e.p, sign, swapped),
-                0.0,
-                1.0,
-                grid_n=grid_n,
-                tol=tol,
-                polish_k=2,
-            )
+            r = maximize_1d(_chart_objective(T, e.p, sign, swapped), tol)
             if best is None or r.value > best[0].value:
                 best = (r, sign, swapped)
     r, sign, swapped = best

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID_N, Exponent, Mat2, maximize_1d
+from .core import Exponent, Mat2, maximize_1d
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,10 @@ def branch_integrand(T: Mat2, e: Exponent):
     return f
 
 
-def numerical_radius(
-    T: Mat2,
-    e: Exponent,
-    tol: float = 1e-10,
-    grid_n: int = DEFAULT_GRID_N,
-) -> RadiusResult:
+def numerical_radius(T: Mat2, e: Exponent, tol: float = 1e-10) -> RadiusResult:
     """Numerical radius via the two-branch closed form."""
-    r1 = maximize_1d(branch_integrand(T, e), 0.0, 1.0, grid_n=grid_n, tol=tol, polish_k=2)
-    r2 = maximize_1d(
-        branch_integrand(conjugate_by_swap(T), e), 0.0, 1.0, grid_n=grid_n, tol=tol, polish_k=2
-    )
+    r1 = maximize_1d(branch_integrand(T, e), tol)
+    r2 = maximize_1d(branch_integrand(conjugate_by_swap(T), e), tol)
     value = max(r1.value, r2.value)
     if r2.value > r1.value + tol:
         branch, t_star = "second", r2.argmax
@@ -73,19 +66,17 @@ def numerical_radius(
     return RadiusResult(value=value, branch=branch, t_star=t_star, tol=tol)
 
 
-def radius_oracle(T: Mat2, e: Exponent, grid_n: int = DEFAULT_GRID_N) -> float:
+def radius_oracle(T: Mat2, e: Exponent) -> float:
     """Brute-force supremum of |x*(Tx)| over norming pairs.
 
     x runs over the half unit sphere x = (sigma*s, (1-s^p)^(1/p)), s in [0, 1]
     (enough, since the pairing is invariant under x -> -x), and x* is the
     duality map (sgn(x1)|x1|^(p-1), sgn(x2)|x2|^(p-1)), the unique norming
     functional for 1 < p < infinity.  Each sign sigma is one call of the shared
-    maximizer with its two best grid local maxima polished: the duality-map
-    exponent p-1 < 1 is non-smooth at the axes, and near s = 1 the pairing can
-    hold a narrow peak above the grid values of a broad lower mode.
+    maximizer, whose polish of the two best grid local maxima matters here: the
+    duality-map exponent p-1 < 1 is non-smooth at the axes, and near s = 1 the
+    pairing can hold a narrow peak above the grid values of a broad lower mode.
     """
-    if grid_n < 16:
-        raise ValueError(f"grid_n must be >= 16, got {grid_n}")
     a, b, c, d = T.as_tuple()
     p = e.p
 
@@ -99,7 +90,4 @@ def radius_oracle(T: Mat2, e: Exponent, grid_n: int = DEFAULT_GRID_N) -> float:
 
         return f
 
-    return max(
-        maximize_1d(pairing(sig), 0.0, 1.0, grid_n=grid_n, tol=1e-12, polish_k=2).value
-        for sig in (1.0, -1.0)
-    )
+    return max(maximize_1d(pairing(sig), 1e-12).value for sig in (1.0, -1.0))

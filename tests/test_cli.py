@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from lpindex.cli import SWEEP_COLUMNS, _fmt17, _sweep_row, main
+from lpindex import critical
+from lpindex.cli import SWEEP_COLUMNS, VERIFY_CLAIM_GRID, _fmt17, _sweep_row, _verify_row, main
+from lpindex.core import _GRID, maximize_1d
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +120,7 @@ class TestCounterexample:
         ["index", "3", "--starts", "2", "--tol", "nan"],
         ["radius", "1.5", "inf", "1", "-1", "0"],
         ["opnorm", "1.5", "1", "nan", "0", "1"],
+        ["sweep", "--pmax", "inf"],
     ],
 )
 def test_invalid_input_exits_2(capsys, argv):
@@ -128,6 +131,20 @@ def test_invalid_input_exits_2(capsys, argv):
 
 
 class TestVerify:
+    def test_row_scans_the_grid_once(self, monkeypatch):
+        # lemma21_bounds and the three claims share one compute_mp for the row's exponent
+        evaluations = []
+
+        def counting(objective, tol):
+            r = maximize_1d(objective, tol)
+            evaluations.append(r.evaluations)
+            return r
+
+        monkeypatch.setattr(critical, "maximize_1d", counting)
+        critical.compute_mp.cache_clear()
+        assert _verify_row((1.3, VERIFY_CLAIM_GRID))["ok"]
+        assert evaluations == [_GRID.size]
+
     def test_small_grid_passes(self, capsys):
         code, out = run(capsys, "verify", "--pmin", "1.25", "--pmax", "1.45", "--n", "4")
         assert code == 0

@@ -61,7 +61,7 @@ class TestComputeMp:
         # no usable derivative sign change around the grid cell: the result is
         # the shared maximizer refined to tol
         e = make_exponent(p)
-        r = maximize_1d(lambda t: objective(t, e), 0.0, 1.0, tol=1e-10)
+        r = maximize_1d(lambda t: objective(t, e), 1e-10)
         cp = compute_mp(e, tol=1e-10)
         assert (cp.t0, cp.mp) == (r.argmax, r.value)
 

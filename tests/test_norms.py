@@ -129,7 +129,7 @@ class TestRieszThorin:
 
 
 class TestOpNormProperties:
-    @pytest.mark.parametrize("p", [1.2, 1.7, 3.0, 6.0])
+    @pytest.mark.parametrize("p", [1.001, 1.01, 1.2, 1.7, 3.0, 6.0])
     def test_transpose_duality(self, p):
         e = make_exponent(p)
         eq = make_exponent(e.q)

@@ -88,10 +88,6 @@ class TestOracle:
         e = make_exponent(3.0)
         assert radius_oracle(ROTATION, e) == pytest.approx(compute_mp(e).mp, abs=1e-10)
 
-    def test_rejects_small_grid(self):
-        with pytest.raises(ValueError):
-            radius_oracle(ROTATION, make_exponent(2.0), grid_n=8)
-
     @pytest.mark.parametrize("p", [1.1, 1.2, 4.0 / 3.0, 1.5, 2.0, 3.0, 6.0, 10.0])
     def test_formula_agrees_with_oracle(self, p):
         # the full 10^3-matrix corpus runs in the acceptance suite
@@ -146,7 +142,7 @@ class TestRadiusProperties:
                 numerical_radius(T, e).value, abs=1e-9
             )
 
-    @pytest.mark.parametrize("p", [1.25, 1.8, 3.5])
+    @pytest.mark.parametrize("p", [1.001, 1.01, 1.25, 1.8, 3.5])
     def test_adjoint_invariance(self, p):
         e = make_exponent(p)
         eq = make_exponent(e.q)
