@@ -28,6 +28,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not (1.0 < args.pmin <= args.pmax < math.inf) or args.n < 2:
         ap.error("need 1 < pmin <= pmax < inf and n >= 2")
+    if args.grid_n < 4:
+        ap.error(f"need grid-n >= 4, got {args.grid_n}")
 
     step = (args.pmax - args.pmin) / (args.n - 1)
     violating = []

@@ -1,12 +1,14 @@
 """Command-line front end: single-point computations, sweeps, and the verify battery.
 
 Single-point commands print one JSON object to stdout with a settings header
-(tol, grid_n, starts, seed), so every output is self-describing.  Sweeps write
-CSV or JSON files with all numeric fields at 17 significant digits, which
+(tol, grid_n, starts, seed; index adds surrogate_n, counterexample keeps only
+tol and grid_n), so every output is self-describing.  Sweeps write CSV or
+JSON files with all numeric fields at 17 significant digits, which
 round-trips doubles exactly.  The verify battery exits 0 only if every check
-passes.  Grid commands parallelize over p; set LPINDEX_WORKERS to pin the
-process count (default: available parallelism).  runtime_ms is the one
-diagnostic, non-reproducible column.
+passes.  Grid commands parallelize over p; set LPINDEX_WORKERS to a positive
+integer to pin the process count (default: available parallelism; any other
+value is an error).  runtime_ms is the one diagnostic, non-reproducible
+column.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .core import Mat2, make_exponent
 from .critical import compute_mp, lemma21_bounds
-from .index import estimate_index, remark_counterexample, verify_claim_region
+from .index import _SURROGATE_N, estimate_index, remark_counterexample, verify_claim_region
 from .norms import op_norm
 from .radius import numerical_radius
 
@@ -50,9 +52,12 @@ def _workers() -> int:
     raw = os.environ.get("LPINDEX_WORKERS")
     if raw is not None:
         try:
-            return max(1, int(raw))
+            n = int(raw)
         except ValueError:
-            pass
+            n = 0
+        if n < 1:
+            raise ValueError(f"LPINDEX_WORKERS must be a positive integer, got {raw!r}")
+        return n
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -145,7 +150,7 @@ def cmd_index(args) -> int:
     m = est.minimizer
     _print_json(
         "index",
-        _settings(starts=args.starts, seed=args.seed, tol=args.tol),
+        _settings(starts=args.starts, seed=args.seed, tol=args.tol, surrogate_n=_SURROGATE_N),
         {
             "p": e.p,
             "value": est.value,
@@ -163,7 +168,7 @@ def cmd_counterexample(args) -> int:
     rec = remark_counterexample(args.p)
     _print_json(
         "counterexample",
-        _settings(),
+        {"tol": DEFAULTS["tol"], "grid_n": DEFAULTS["grid_n"]},
         {
             "p": rec.p,
             "t0": rec.t0,

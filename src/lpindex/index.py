@@ -335,6 +335,17 @@ class _RatioSearch:
     evaluation is pure array arithmetic.  Grid-only maxima are accurate to a
     few 1e-5, plenty for steering the simplex; candidates are re-evaluated
     tightly afterwards.
+
+    The norm is sampled on the positive quadrant of the unit sphere only, on
+    the arc (t, x2), x2 = (1 - t^p)^(1/p), and its swap (x2, t).  This needs
+    rows (a, b, c, d) >= 0, which search_obj guarantees by folding into the
+    cube.  The sign-flipped arcs (t, -x2) and (x2, -t) never raise the row
+    maximum: with P = fl(a t) >= 0 and Q = fl(b x2) >= 0, |P - Q| <= P + Q,
+    and rounding is monotone, so fl(|a t - b x2|) <= fl(a t + b x2), and
+    likewise for (c, d).  The maximum of |.|^p + |.|^p over the row is then
+    the one over all four arcs, bit for bit, as long as numpy's power is
+    monotone on these inputs; the tests check that against the four-arc
+    form, the code does not assume it.
     """
 
     def __init__(self, e: Exponent):
@@ -344,11 +355,10 @@ class _RatioSearch:
         self.t = t
         self.tp = t**p
         self.tp1 = t ** (p - 1.0)
-        # the unit-sphere quadrant arc (t, (1 - t^p)^(1/p)), swapped and
-        # sign-flipped into the four arcs that carry the operator norm
+        # the unit-sphere quadrant arc (t, (1 - t^p)^(1/p)) and its swap
         x2 = np.maximum(1.0 - self.tp, 0.0) ** (1.0 / p)
-        self.u1 = np.concatenate((t, t, x2, x2))
-        self.u2 = np.concatenate((x2, -x2, t, -t))
+        self.u1 = np.concatenate((t, x2))
+        self.u2 = np.concatenate((x2, t))
 
     def ratio(self, Y: np.ndarray) -> np.ndarray:
         """Surrogate ratios of the operators in the rows (a, b, c, d) of Y, shape (S, 4)."""

@@ -229,3 +229,12 @@ def test_converged_flags(theorem_estimates):
     estimates, _ = theorem_estimates
     flags = {p: estimates[p].converged for p in (1.2, 1.3, 3.0, 6.0)}
     assert flags == {1.2: False, 1.3: True, 3.0: True, 6.0: True}
+
+
+def test_dual_pairs_agree(theorem_estimates):
+    # n(l_p^2) = n(l_q^2) and M_p = M_q: the searches at the dual pairs
+    # (1.2, 6) and (1.5, 3) run separately and must agree to 10 tol
+    estimates, _ = theorem_estimates
+    for p, q in ((1.2, 6.0), (1.5, 3.0)):
+        assert abs(estimates[p].value - estimates[q].value) <= 1e-9
+        assert abs(estimates[p].mp - estimates[q].mp) <= 1e-15

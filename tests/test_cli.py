@@ -6,6 +6,7 @@ import pytest
 from lpindex import critical
 from lpindex.cli import SWEEP_COLUMNS, VERIFY_CLAIM_GRID, _fmt17, _sweep_row, _verify_row, main
 from lpindex.core import _GRID, maximize_1d
+from lpindex.index import _SURROGATE_N
 
 
 @pytest.fixture(autouse=True)
@@ -89,6 +90,11 @@ class TestIndex:
         assert main(["index", "3", "--starts", "0"]) == 2
         capsys.readouterr()
 
+    def test_settings_header(self, capsys):
+        doc = run_json(capsys, "index", "2", "--starts", "2", "--seed", "3")
+        settings = {"tol": 1e-10, "grid_n": 4096, "starts": 2, "seed": 3, "surrogate_n": _SURROGATE_N}
+        assert doc["settings"] == settings
+
 
 class TestCounterexample:
     def test_default_is_below(self, capsys):
@@ -109,6 +115,10 @@ class TestCounterexample:
         assert main(["counterexample", "--p", "2.5"]) == 2
         capsys.readouterr()
 
+    def test_settings_header(self, capsys):
+        # the remark is a fixed matrix: no starts, no seed
+        assert run_json(capsys, "counterexample")["settings"] == {"tol": 1e-10, "grid_n": 4096}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -128,6 +138,18 @@ def test_invalid_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("argv", [["verify", "--n", "4"], ["sweep", "--n", "4", "--starts", "2"]])
+def test_malformed_workers_exits_2(capsys, monkeypatch, tmp_path, argv, value):
+    monkeypatch.setenv("LPINDEX_WORKERS", value)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: LPINDEX_WORKERS must be a positive integer, got {value!r}\n"
+    assert not any(tmp_path.iterdir())
 
 
 class TestVerify:

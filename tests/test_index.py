@@ -305,6 +305,55 @@ class TestLockstepSearch:
         assert est.value <= est.mp + 1e-6
 
 
+def _quadrant_arc(ctx):
+    """The grid t and x2 = (1 - t^p)^(1/p) of a _RatioSearch."""
+    return ctx.t, np.maximum(1.0 - ctx.tp, 0.0) ** (1.0 / ctx.p)
+
+
+def _four_arc_search(e):
+    """_RatioSearch with the norm sampled on all four arcs (t, +-x2) and (x2, +-t)."""
+    ref = _RatioSearch(e)
+    t, x2 = _quadrant_arc(ref)
+    ref.u1 = np.concatenate((t, t, x2, x2))
+    ref.u2 = np.concatenate((x2, -x2, t, -t))
+    return ref
+
+
+def _surrogate_rows(t, x2, rng):
+    """Rows (a, b, c, d) >= 0 normalized to max entry 1, as search_obj passes them.
+
+    Random rows, rows with zeros, quantized rows (ties across grid points), the
+    rotation and other corners, Halton points, and rows with a t = b x2 and
+    c t = d x2 (to rounding) at some interior grid point.
+    """
+    rand = rng.uniform(0.0, 1.0, (10_000, 4))
+    zeros = rng.uniform(0.0, 1.0, (1000, 4)) * (rng.uniform(0.0, 1.0, (1000, 4)) > 0.4)
+    quantized = rng.integers(0, 5, (1000, 4)) / 4.0
+    corners = np.array(
+        [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0],
+         [1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0]]
+    )
+    j, k = rng.integers(1, t.size - 1, (2, 1000))
+    s = rng.uniform(0.1, 1.0, (1000, 2))
+    ties = np.column_stack((s[:, 0] * x2[j], s[:, 0] * t[j], s[:, 1] * x2[k], s[:, 1] * t[k]))
+    rows = np.vstack([rand, zeros, quantized, corners, _halton(255, 0), ties])
+    rows = rows[rows.max(axis=1) > 0.0]
+    return rows / rows.max(axis=1, keepdims=True)
+
+
+class TestSurrogateArcs:
+    @pytest.mark.parametrize("p", [1.01, 1.2, 1.5, 2.0, 3.0, 6.0, 1000.0])
+    def test_matches_four_arcs(self, p):
+        # the sign-flipped arcs never raise the row maximum of a nonnegative row
+        e = make_exponent(p)
+        ctx, ref = _RatioSearch(e), _four_arc_search(e)
+        assert ctx.u1.size == 2 * ctx.t.size and ref.u1.size == 4 * ctx.t.size
+        Y = _surrogate_rows(*_quadrant_arc(ctx), np.random.default_rng(int(p * 100)))
+        assert (Y >= 0.0).all() and len(Y) > 10_000
+        for chunk in np.array_split(Y, 8):
+            assert np.array_equal(ctx.ratio(chunk), ref.ratio(chunk))
+
+
 class TestHalton:
     def test_matches_scipy(self):
         qmc = pytest.importorskip("scipy.stats").qmc

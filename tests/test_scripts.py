@@ -32,3 +32,11 @@ def test_breakdown_scan_rejects_infinite_pmax():
     assert out.stdout == ""
     assert "error: need 1 < pmin <= pmax < inf" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_breakdown_scan_rejects_small_grid():
+    out = run_breakdown_scan("--grid-n", "3")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "error: need grid-n >= 4, got 3" in out.stderr
+    assert "Traceback" not in out.stderr
