@@ -1,9 +1,10 @@
 """Command-line front end: single-point computations, sweeps, and the verify battery.
 
-Single-point commands print one JSON object to stdout with a settings header
-(tol, grid_n, starts, seed; index adds surrogate_n, counterexample keeps only
-tol and grid_n), so every output is self-describing.  Sweeps write CSV or
-JSON files with all numeric fields at 17 significant digits, which
+Single-point commands and sweep print one JSON object to stdout with a
+settings header of what they used: tol and grid_n (the maximizer's grid
+cells), and for index and sweep also starts, seed and surrogate_n, so every
+output is self-describing; verify prints its table only.  Sweeps write CSV
+or JSON files with all numeric fields at 17 significant digits, which
 round-trips doubles exactly.  The verify battery exits 0 only if every check
 passes.  Grid commands parallelize over p; set LPINDEX_WORKERS to a positive
 integer to pin the process count (default: available parallelism; any other
@@ -21,13 +22,13 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .core import Mat2, make_exponent
+from .core import DEFAULT_GRID_N, Mat2, make_exponent
 from .critical import compute_mp, lemma21_bounds
 from .index import _SURROGATE_N, estimate_index, remark_counterexample, verify_claim_region
 from .norms import op_norm
 from .radius import numerical_radius
 
-DEFAULTS = {"tol": 1e-10, "grid_n": 4096, "starts": 64, "seed": 0}
+DEFAULTS = {"tol": 1e-10, "starts": 64, "seed": 0}
 
 SWEEP_COLUMNS = ("p", "q", "t0", "mp", "lower_bound", "index_estimate", "gap", "runtime_ms")
 
@@ -38,10 +39,9 @@ def _fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _settings(**overrides) -> dict:
-    s = dict(DEFAULTS)
-    s.update(overrides)
-    return s
+def _settings(tol: float, **used) -> dict:
+    """The settings header: tol, the maximizer's grid cells, then the other settings used."""
+    return {"tol": tol, "grid_n": DEFAULT_GRID_N, **used}
 
 
 def _print_json(command: str, settings: dict, result: dict) -> None:
@@ -93,7 +93,7 @@ def cmd_mp(args) -> int:
     cp = compute_mp(e, tol=args.tol)
     _print_json(
         "mp",
-        _settings(tol=args.tol),
+        _settings(args.tol),
         {
             "p": e.p,
             "q": e.q,
@@ -112,7 +112,7 @@ def cmd_radius(args) -> int:
     r = numerical_radius(T, e, tol=args.tol)
     _print_json(
         "radius",
-        _settings(tol=args.tol),
+        _settings(args.tol),
         {
             "p": e.p,
             "matrix": {"a": T.a, "b": T.b, "c": T.c, "d": T.d},
@@ -132,7 +132,7 @@ def cmd_opnorm(args) -> int:
     x1, x2 = r.witness(e)
     _print_json(
         "opnorm",
-        _settings(tol=args.tol),
+        _settings(args.tol),
         {
             "p": e.p,
             "matrix": {"a": T.a, "b": T.b, "c": T.c, "d": T.d},
@@ -150,7 +150,7 @@ def cmd_index(args) -> int:
     m = est.minimizer
     _print_json(
         "index",
-        _settings(starts=args.starts, seed=args.seed, tol=args.tol, surrogate_n=_SURROGATE_N),
+        _settings(args.tol, starts=args.starts, seed=args.seed, surrogate_n=_SURROGATE_N),
         {
             "p": e.p,
             "value": est.value,
@@ -168,7 +168,7 @@ def cmd_counterexample(args) -> int:
     rec = remark_counterexample(args.p)
     _print_json(
         "counterexample",
-        {"tol": DEFAULTS["tol"], "grid_n": DEFAULTS["grid_n"]},
+        _settings(DEFAULTS["tol"]),
         {
             "p": rec.p,
             "t0": rec.t0,
@@ -274,7 +274,7 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         return _fail(f"cannot write {out}: {exc}")
     max_gap = max(abs(row["gap"]) for row in rows)
-    settings = _settings(starts=args.starts, seed=args.seed, tol=args.tol)
+    settings = _settings(args.tol, starts=args.starts, seed=args.seed, surrogate_n=_SURROGATE_N)
     print(
         json.dumps(
             {

@@ -8,10 +8,19 @@ geometrically refined inside the two end cells, localizes the two best local
 maxima, and a vectorized re-gridding of their brackets polishes them.  All
 values are 64-bit floats and all routines are pure functions, so results
 are bit-reproducible and safe to evaluate from parallel sweeps.
+
+The objectives on the l_p unit sphere share the powers t^p and t^(p-1), the
+quadrant arc x2 = (1 - t^p)^(1/p) and x2^(p-1) (SpherePowers).  On the
+pre-scan grid these do not depend on the operator, so sphere_powers keeps
+them per exponent, read-only, for the last _POWERS_CACHE_SIZE exponents
+(4 arrays of 4193 float64, about 134 KB each); on refinement points each
+objective computes only the powers it reads.  Cached or not, every power is
+the same numpy expression, so the cache moves no bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,6 +42,8 @@ _GRID.flags.writeable = False
 _REFINE_POINTS = 65
 _REFINE_U = np.linspace(0.0, 1.0, _REFINE_POINTS)
 _REFINE_U.flags.writeable = False
+# Exponents whose pre-scan grid powers sphere_powers keeps.
+_POWERS_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -107,35 +118,92 @@ def _evaluate(objective: Callable, ts: np.ndarray) -> np.ndarray:
     return ys
 
 
-def maximize_1d(objective: Callable, tol: float) -> BracketedMax:
-    """Maximize a vectorized real objective on [0, 1].
+class _computed_once:
+    """A lazily computed attribute, kept in the instance once computed.
 
-    The objective is called on numpy arrays (1-d for the pre-scan, 2-d for the
-    refinement) and must return an array of the same shape.  The pre-scan
-    grid is fixed: DEFAULT_GRID_N + 1 equispaced points plus geometric points
-    inside the two end cells.  The two best grid local maxima (two, which
-    guards against near-tied or narrow peaks) are bracketed by their grid
-    neighbours, and both brackets are re-gridded together until their
-    half-width is at most tol.  A bracket starts two grid cells wide, so a tol
-    of at least one cell, 1/DEFAULT_GRID_N, returns the grid argmax unrefined.
-    The returned value is never below the best grid value.  Deterministic:
-    identical inputs give identical outputs.  Non-finite objective values
-    raise FloatingPointError.
+    functools.cached_property does the same, but before Python 3.12 it takes a
+    lock on each first use, which costs more than a power on a refinement
+    bracket.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
 
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class SpherePowers:
+    """Powers of points t in [0, 1] for an exponent p, each computed on first use.
+
+    tp = t^p, tp1 = t^(p-1), the unit-sphere quadrant arc
+    x2 = max(1 - t^p, 0)^(1/p), so that (t, x2) has l_p norm 1, and
+    x2p1 = x2^(p-1).  This is the one definition of each; objectives get
+    their instance from sphere_powers.
+    """
+
+    def __init__(self, t: np.ndarray, p: float):
+        self.t = t
+        self.p = p
+
+    @_computed_once
+    def tp(self) -> np.ndarray:
+        return self.t**self.p
+
+    @_computed_once
+    def tp1(self) -> np.ndarray:
+        return self.t ** (self.p - 1.0)
+
+    @_computed_once
+    def x2(self) -> np.ndarray:
+        return np.maximum(1.0 - self.tp, 0.0) ** (1.0 / self.p)
+
+    @_computed_once
+    def x2p1(self) -> np.ndarray:
+        return self.x2 ** (self.p - 1.0)
+
+
+@functools.lru_cache(maxsize=_POWERS_CACHE_SIZE)
+def _grid_powers(p: float) -> SpherePowers:
+    """The SpherePowers of the pre-scan grid, all four computed and read-only."""
+    pw = SpherePowers(_GRID, p)
+    for arr in (pw.tp, pw.tp1, pw.x2, pw.x2p1):
+        arr.flags.writeable = False
+    return pw
+
+
+def sphere_powers(t: np.ndarray, p: float) -> SpherePowers:
+    """The SpherePowers of t: the cached record when t is the pre-scan grid itself
+    (an objective's 1-d call from maximize_1d), else a new one."""
+    return _grid_powers(p) if t is _GRID else SpherePowers(t, p)
+
+
+def _prescan(objective: Callable):
+    """Evaluate the objective on the grid and bracket its two best grid local maxima.
+
+    Returns (best_t, best_y, a, b): the maxima's points and values, best first,
+    and their brackets [a, b] between grid neighbours.
+    """
     ys = _evaluate(objective, _GRID)
-    evals = _GRID.size
     left = np.concatenate(([True], ys[1:] >= ys[:-1]))
     right = np.concatenate((ys[:-1] >= ys[1:], [True]))
     peaks = np.flatnonzero(left & right)
     idx = peaks[np.argsort(-ys[peaks], kind="stable")[:2]]
+    return _GRID[idx], ys[idx], _GRID[np.maximum(idx - 1, 0)], _GRID[np.minimum(idx + 1, _GRID.size - 1)]
 
-    rows = np.arange(idx.size)
-    best_t, best_y = _GRID[idx], ys[idx]
-    a = _GRID[np.maximum(idx - 1, 0)]
-    b = _GRID[np.minimum(idx + 1, _GRID.size - 1)]
+
+def _refine(objective: Callable, best_t, best_y, a, b, tol: float) -> BracketedMax:
+    """Re-grid _prescan's brackets together until their half-width is at most tol.
+
+    Updates best_t and best_y in place; the evaluation count includes the
+    pre-scan's.
+    """
+    evals = _GRID.size
+    rows = np.arange(a.size)
     while True:
         w = b - a
         if not (w > 2.0 * tol).any():
@@ -161,3 +229,23 @@ def maximize_1d(objective: Callable, tol: float) -> BracketedMax:
         tol=float((b[k] - a[k]) / 2.0),
         evaluations=evals,
     )
+
+
+def maximize_1d(objective: Callable, tol: float) -> BracketedMax:
+    """Maximize a vectorized real objective on [0, 1].
+
+    The objective is called on numpy arrays (1-d for the pre-scan, 2-d for the
+    refinement) and must return an array of the same shape.  The pre-scan
+    grid is fixed: DEFAULT_GRID_N + 1 equispaced points plus geometric points
+    inside the two end cells.  The two best grid local maxima (two, which
+    guards against near-tied or narrow peaks) are bracketed by their grid
+    neighbours, and both brackets are re-gridded together until their
+    half-width is at most tol.  A bracket starts two grid cells wide, so a tol
+    of at least one cell, 1/DEFAULT_GRID_N, returns the grid argmax unrefined.
+    The returned value is never below the best grid value.  Deterministic:
+    identical inputs give identical outputs.  Non-finite objective values
+    raise FloatingPointError.
+    """
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    return _refine(objective, *_prescan(objective), tol)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID_N, Exponent, maximize_1d
+from .core import DEFAULT_GRID_N, Exponent, _prescan, _refine
 
 _EPS = sys.float_info.epsilon
 
@@ -93,7 +93,8 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
     bisection on the sign of the closed-form derivative polishes it wherever a
     sign change brackets that cell.  Where none does, or the bisected root
     trails the grid's best value by more than rounding noise, the maximizer's
-    bracket refinement to tol gives the result instead.  p = 2 is an explicit
+    refinement of that same pre-scan to tol gives the result instead (that of
+    maximize_1d at tol, with one grid scan in all).  p = 2 is an explicit
     degenerate branch (the numerator vanishes identically).
 
     The last result is cached, so the several calls that one verify or sweep
@@ -109,11 +110,11 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
 
     sgn = 1.0 if p < 2.0 else -1.0
     f = lambda t: objective(t, e)
-    # a tol of one grid cell returns the grid argmax unrefined; the bisection
-    # below polishes it, and the maximizer refined to tol is the fallback
+    # the grid argmax (best_t, best_y of the best peak); the bisection below
+    # polishes it, and the pre-scan's brackets refined to tol are the fallback
+    scan = _prescan(f)
+    t0, mp = float(scan[0][0]), float(scan[1][0])
     h = 1.0 / DEFAULT_GRID_N
-    r = maximize_1d(f, h)
-    t0, mp = r.argmax, r.value
 
     # The derivative blows up as t -> 0+ for p < 2, so the bisection bracket
     # starts from the grid cell, clear of the singular endpoints.
@@ -136,7 +137,7 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
             resid = sgn * phi_derivative(t_ref, e)
             return CriticalPoint(p=p, t0=t_ref, mp=v_ref, derivative_residual=resid, degenerate=False)
 
-    r = maximize_1d(f, tol)
+    r = _refine(f, *scan, tol)
     t0, mp = r.argmax, r.value
     resid = sgn * phi_derivative(t0, e) if 0.0 < t0 < 1.0 else math.nan
     return CriticalPoint(p=p, t0=t0, mp=mp, derivative_residual=resid, degenerate=False)

@@ -28,7 +28,7 @@ from operator import add
 
 import numpy as np
 
-from .core import Exponent, Mat2, make_exponent
+from .core import Exponent, Mat2, SpherePowers, make_exponent
 from .critical import compute_mp
 from .norms import op_norm
 from .radius import numerical_radius
@@ -352,16 +352,20 @@ class _RatioSearch:
         p = e.p
         self.p = p
         t = np.linspace(0.0, 1.0, _SURROGATE_N + 1)
-        self.t = t
-        self.tp = t**p
-        self.tp1 = t ** (p - 1.0)
+        pw = SpherePowers(t, p)
+        self.t, self.tp, self.tp1 = t, pw.tp, pw.tp1
         # the unit-sphere quadrant arc (t, (1 - t^p)^(1/p)) and its swap
-        x2 = np.maximum(1.0 - self.tp, 0.0) ** (1.0 / p)
-        self.u1 = np.concatenate((t, x2))
-        self.u2 = np.concatenate((x2, t))
+        self.u1 = np.concatenate((t, pw.x2))
+        self.u2 = np.concatenate((pw.x2, t))
 
     def ratio(self, Y: np.ndarray) -> np.ndarray:
-        """Surrogate ratios of the operators in the rows (a, b, c, d) of Y, shape (S, 4)."""
+        """Surrogate ratios of the operators in the rows (a, b, c, d) of Y, shape (S, 4).
+
+        Every row must be nonzero (search_obj scores a point that folds to 0
+        without calling this).  Rows are scaled to max entry 1 first: the ratio
+        has degree 0, and at large p, w**p of a small row would underflow to 0.
+        """
+        Y = Y / Y.max(axis=1, keepdims=True)
         a, b, c, d = (Y[:, k, None] for k in range(4))
         F = _functional(a, b, c, d, self.t, self.tp, self.tp1).max(axis=1)
         G = _functional(d, c, b, a, self.t, self.tp, self.tp1).max(axis=1)
@@ -374,14 +378,13 @@ class _RatioSearch:
         return np.array([v / mm**r for v, mm in zip(np.maximum(F, G).tolist(), m.tolist())])
 
     def search_obj(self, X: np.ndarray) -> np.ndarray:
-        """Surrogate ratios of the points X, shape (S, 4), folded into the cube and
-        normalized to max entry 1; 2.0 (above any ratio) where a point folds to 0."""
+        """Surrogate ratios of the points X, shape (S, 4), folded into the cube;
+        2.0 (above any ratio) where a point folds to 0."""
         Y = _fold01(X)
-        m = Y.max(axis=1)
-        live = m >= 1e-12
+        live = Y.max(axis=1) >= 1e-12
         out = np.full(len(Y), 2.0)
         if live.any():
-            out[live] = self.ratio(Y[live] / m[live, None])
+            out[live] = self.ratio(Y[live])
         return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Exponent, Mat2, maximize_1d
+from .core import Exponent, Mat2, maximize_1d, sphere_powers
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,18 @@ def norm_inf(T: Mat2) -> float:
 
 
 def _lp_pair(u, v, p):
-    """Vectorized overflow-safe (|u|^p + |v|^p)^(1/p)."""
+    """Vectorized overflow-safe (|u|^p + |v|^p)^(1/p).
+
+    The larger entry m is factored out, and its ratio m/m = 1 is written as
+    the constant 1.0: IEEE pow gives 1.0**p == 1.0 and addition commutes, so
+    this is the same float as summing both ratios' powers, with one power
+    fewer.
+    """
     au = np.abs(u)
     av = np.abs(v)
     m = np.maximum(au, av)
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = m * ((au / m) ** p + (av / m) ** p) ** (1.0 / p)
+        r = m * (1.0 + (np.minimum(au, av) / m) ** p) ** (1.0 / p)
     return np.where(m > 0.0, r, 0.0)
 
 
@@ -73,7 +79,7 @@ def _chart_objective(T: Mat2, p: float, sign: int, swapped: bool):
     a, b, c, d = T.as_tuple()
 
     def f(s):
-        comp = np.maximum(1.0 - s**p, 0.0) ** (1.0 / p)
+        comp = sphere_powers(s, p).x2
         if swapped:
             x1, x2 = comp, sign * s
         else:

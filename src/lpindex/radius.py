@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Exponent, Mat2, maximize_1d
+from .core import Exponent, Mat2, maximize_1d, sphere_powers
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ def branch_integrand(T: Mat2, e: Exponent):
     p = e.p
 
     def f(t):
-        tp = t**p
-        return (np.abs(a + d * tp) + np.abs(b * t + c * t ** (p - 1.0))) / (1.0 + tp)
+        pw = sphere_powers(t, p)
+        return (np.abs(a + d * pw.tp) + np.abs(b * t + c * pw.tp1)) / (1.0 + pw.tp)
 
     return f
 
@@ -82,11 +82,9 @@ def radius_oracle(T: Mat2, e: Exponent) -> float:
 
     def pairing(sig):
         def f(s):
-            x1 = sig * s
-            x2 = np.maximum(1.0 - s**p, 0.0) ** (1.0 / p)
-            x1s = sig * s ** (p - 1.0)
-            x2s = x2 ** (p - 1.0)
-            return np.abs(x1s * (a * x1 + b * x2) + x2s * (c * x1 + d * x2))
+            pw = sphere_powers(s, p)
+            x1, x2 = sig * s, pw.x2
+            return np.abs(sig * pw.tp1 * (a * x1 + b * x2) + pw.x2p1 * (c * x1 + d * x2))
 
         return f
 

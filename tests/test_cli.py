@@ -1,11 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from lpindex import critical
 from lpindex.cli import SWEEP_COLUMNS, VERIFY_CLAIM_GRID, _fmt17, _sweep_row, _verify_row, main
-from lpindex.core import _GRID, maximize_1d
+from lpindex.core import _GRID
 from lpindex.index import _SURROGATE_N
 
 
@@ -50,6 +51,10 @@ class TestMp:
         assert main(["mp", "0.8"]) == 2
         capsys.readouterr()
 
+    def test_settings_header(self, capsys):
+        # no search: no starts, no seed
+        assert run_json(capsys, "mp", "1.3", "--tol", "1e-9")["settings"] == {"tol": 1e-9, "grid_n": 4096}
+
 
 class TestRadius:
     def test_rotation_reference(self, capsys):
@@ -69,12 +74,20 @@ class TestRadius:
         assert main(["radius", "1", "0", "1", "-1", "0"]) == 2
         capsys.readouterr()
 
+    def test_settings_header(self, capsys):
+        doc = run_json(capsys, "radius", "1.3", "0", "1", "-1", "0")
+        assert doc["settings"] == {"tol": 1e-10, "grid_n": 4096}
+
 
 class TestOpnorm:
     def test_diagonal(self, capsys):
         res = run_json(capsys, "opnorm", "2", "3", "0", "0", "-4")["result"]
         assert res["norm"] == pytest.approx(4.0, abs=1e-12)
         assert res["witness"]["x1"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_settings_header(self, capsys):
+        doc = run_json(capsys, "opnorm", "1.3", "1", "2", "3", "4", "--tol", "1e-8")
+        assert doc["settings"] == {"tol": 1e-8, "grid_n": 4096}
 
 
 class TestIndex:
@@ -154,18 +167,20 @@ def test_malformed_workers_exits_2(capsys, monkeypatch, tmp_path, argv, value):
 
 class TestVerify:
     def test_row_scans_the_grid_once(self, monkeypatch):
-        # lemma21_bounds and the three claims share one compute_mp for the row's exponent
-        evaluations = []
+        # lemma21_bounds and the three claims share one compute_mp for the row's
+        # exponent, which evaluates the grid once and refines nothing (its other
+        # calls are the bisection's scalar points)
+        sizes = []
+        objective = critical.objective
 
-        def counting(objective, tol):
-            r = maximize_1d(objective, tol)
-            evaluations.append(r.evaluations)
-            return r
+        def counting(t, e):
+            sizes.append(np.size(t))
+            return objective(t, e)
 
-        monkeypatch.setattr(critical, "maximize_1d", counting)
+        monkeypatch.setattr(critical, "objective", counting)
         critical.compute_mp.cache_clear()
         assert _verify_row((1.3, VERIFY_CLAIM_GRID))["ok"]
-        assert evaluations == [_GRID.size]
+        assert [n for n in sizes if n > 1] == [_GRID.size]
 
     def test_small_grid_passes(self, capsys):
         code, out = run(capsys, "verify", "--pmin", "1.25", "--pmax", "1.45", "--n", "4")
@@ -224,6 +239,18 @@ class TestSweep:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_settings_header(self, capsys, tmp_path):
+        # every row runs estimate_index, so sweep reports the surrogate grid too
+        doc = run_json(
+            capsys,
+            "sweep",
+            "--pmin", "1.3", "--pmax", "1.4", "--n", "2",
+            "--starts", "2", "--seed", "5",
+            "--out", str(tmp_path / "sweep.csv"),
+        )
+        settings = {"tol": 1e-10, "grid_n": 4096, "starts": 2, "seed": 5, "surrogate_n": _SURROGATE_N}
+        assert doc["settings"] == settings
 
     def test_n_below_two_exits_2(self, capsys):
         assert main(["sweep", "--pmin", "1.3", "--pmax", "1.4", "--n", "1"]) == 2

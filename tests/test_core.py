@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpindex import Exponent, Mat2, make_exponent, maximize_1d
-from lpindex.core import _END_POINTS, _GRID, DEFAULT_GRID_N
+from lpindex.core import (
+    _END_POINTS,
+    _GRID,
+    _POWERS_CACHE_SIZE,
+    DEFAULT_GRID_N,
+    SpherePowers,
+    _grid_powers,
+    sphere_powers,
+)
 
 EPS = sys.float_info.epsilon
 
@@ -135,3 +143,48 @@ class TestMaximize1d:
         assert ref.size == DEFAULT_GRID_N + 1 + 2 * _END_POINTS
         assert np.array_equal(_GRID, ref)
         assert not _GRID.flags.writeable
+
+
+class TestSpherePowers:
+    FIELDS = ("tp", "tp1", "x2", "x2p1")
+
+    def test_grid_record_is_read_only_and_matches_fresh_powers(self):
+        p = 1.2345
+        cached = sphere_powers(_GRID, p)
+        fresh = SpherePowers(_GRID.copy(), p)
+        for name in self.FIELDS:
+            arr = getattr(cached, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+            assert np.array_equal(arr, getattr(fresh, name))
+
+    def test_other_points_are_not_cached(self):
+        before = _grid_powers.cache_info()
+        pts = _GRID[:65].copy()
+        pw = sphere_powers(pts, 1.5)
+        assert pw.t is pts and pw.tp.flags.writeable
+        assert _grid_powers.cache_info() == before
+
+    def test_second_call_hits_the_cache(self):
+        p = 1.6789
+        first = sphere_powers(_GRID, p)
+        hits = _grid_powers.cache_info().hits
+        assert sphere_powers(_GRID, p) is first
+        assert _grid_powers.cache_info().hits == hits + 1
+
+    def test_evicted_exponent_gives_identical_results(self):
+        from lpindex import numerical_radius, op_norm, radius_oracle
+
+        T, e = Mat2(0.3, -2.0, 1.7, 0.9), make_exponent(1.4321)
+
+        def results():
+            return numerical_radius(T, e), radius_oracle(T, e), op_norm(T, e)
+
+        first = sphere_powers(_GRID, e.p)
+        before = results()
+        for k in range(_POWERS_CACHE_SIZE + 1):
+            sphere_powers(_GRID, 2.5 + k)
+        assert _grid_powers.cache_info().currsize == _POWERS_CACHE_SIZE
+        assert sphere_powers(_GRID, e.p) is not first
+        assert results() == before

@@ -296,6 +296,16 @@ class TestLockstepSearch:
         assert out[0] == 2.0
         assert out[1] == ctx.ratio(np.array([[0.0, 1.0, 1.0, 0.0]]))[0]
 
+    def test_ratio_scales_rows_before_powers(self):
+        # at p = 1000, w**p underflows to 0 for every norm sample of these rows
+        # unless ratio scales them to max entry 1 first
+        ctx = _RatioSearch(make_exponent(1000.0))
+        for row in ([0.23, 0.23, 0.23, 0.23], [0.47, 0.0, 0.0, 0.0]):
+            Y = np.array([row])
+            r = ctx.ratio(Y)
+            assert np.isfinite(r).all()
+            assert r[0] == ctx.ratio(Y / Y.max())[0]
+
     @pytest.mark.parametrize("starts", [1, 2])
     def test_few_starts(self, starts):
         e = make_exponent(1.3)

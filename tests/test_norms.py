@@ -16,6 +16,7 @@ from lpindex import (
     riesz_thorin_bound,
     vec_norm,
 )
+from lpindex.norms import _lp_pair
 
 EPS = sys.float_info.epsilon
 
@@ -159,3 +160,42 @@ class TestOpNormProperties:
         e = make_exponent(1.000001)
         for T in random_matrices(10, seed=4):
             assert abs(op_norm(T, e).norm - norm_1(T)) <= 1e-4
+
+
+def _three_power_pair(u, v, p):
+    """(|u|^p + |v|^p)^(1/p) with both ratios' powers summed, as before the 1.0 shortcut."""
+    au = np.abs(u)
+    av = np.abs(v)
+    m = np.maximum(au, av)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = m * ((au / m) ** p + (av / m) ** p) ** (1.0 / p)
+    return np.where(m > 0.0, r, 0.0)
+
+
+_magnitude = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # zero and subnormals
+    st.floats(min_value=1e-301, max_value=1e-299),
+    st.floats(min_value=1e299, max_value=1e301),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, 1e306]),
+)
+_signed = st.tuples(_magnitude, st.booleans()).map(lambda mb: -mb[0] if mb[1] else mb[0])
+# about one pair in four has equal magnitudes
+_pair = st.one_of(
+    st.tuples(_signed, _signed),
+    st.tuples(_signed, st.booleans()).map(lambda xb: (xb[0], -xb[0] if xb[1] else xb[0])),
+)
+_exponent = st.one_of(
+    st.floats(min_value=1.0, max_value=1000.0, exclude_min=True),
+    st.sampled_from([1.0 + 1e-12, 1.2, 1.5, 2.0, 3.0, 6.0, 1000.0]),
+)
+
+
+class TestLpPair:
+    @given(st.lists(_pair, min_size=1, max_size=64), _exponent)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_three_powers(self, pairs, p):
+        u, v = np.array(pairs).T
+        got = np.asarray(_lp_pair(u, v, p), dtype=np.float64)
+        ref = np.asarray(_three_power_pair(u, v, p), dtype=np.float64)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -8,11 +8,14 @@ from lpindex import (
     compute_mp,
     conjugate_by_swap,
     make_exponent,
+    maximize_1d,
     numerical_radius,
     op_norm,
     radius_oracle,
     riesz_thorin_bound,
 )
+from lpindex.norms import OpNormResult
+from lpindex.radius import RadiusResult
 
 ROTATION = Mat2(0, 1, -1, 0)
 
@@ -160,6 +163,15 @@ class TestRadiusProperties:
         assert numerical_radius(flattened, e).value <= numerical_radius(T, e).value + 1e-9
 
 
+EXTREME_MATRICES = [
+    (1e306, Mat2(1.0, 1.0, 1.0, 1.0)),
+    (1e300, Mat2(1.0, -3.0, 2.0, -1.0)),
+    (-1e300, Mat2(0.0, 1.0, -1.0, 0.0)),
+    (1e-300, Mat2(1.0, 2.0, -3.0, 0.5)),
+    (1.0, Mat2(1e300, 1e-300, -1e-300, 1.0)),
+]
+
+
 class TestEdgeCases:
     @pytest.mark.parametrize("p", [1.0001, 1.3, 50.0, 1000.0])
     def test_zero_operator(self, p):
@@ -175,16 +187,7 @@ class TestEdgeCases:
     # (1.6e-13 at n1 = 2e306), so at 1e306 * ones and p = 1.0001 op_norm exceeds
     # it by 2e-14 relative, and the radius exceeds op_norm by one ulp there.
     @pytest.mark.parametrize("p", [1.0001, 1.3, 50.0, 1000.0])
-    @pytest.mark.parametrize(
-        "scale, base",
-        [
-            (1e306, Mat2(1.0, 1.0, 1.0, 1.0)),
-            (1e300, Mat2(1.0, -3.0, 2.0, -1.0)),
-            (-1e300, Mat2(0.0, 1.0, -1.0, 0.0)),
-            (1e-300, Mat2(1.0, 2.0, -3.0, 0.5)),
-            (1.0, Mat2(1e300, 1e-300, -1e-300, 1.0)),
-        ],
-    )
+    @pytest.mark.parametrize("scale, base", EXTREME_MATRICES)
     def test_extreme_entries(self, p, scale, base):
         e = make_exponent(p)
         T = base.scaled(scale)
@@ -196,3 +199,113 @@ class TestEdgeCases:
         # homogeneity survives the extreme scale
         assert v == pytest.approx(abs(scale) * numerical_radius(base, e).value, rel=1e-12)
         assert n == pytest.approx(abs(scale) * op_norm(base, e).norm, rel=1e-12)
+
+
+# The radius layer as written before the grid powers were cached: every
+# objective computes its own powers, and the l_p pair sums two ratio powers.
+def _uncached_lp_pair(u, v, p):
+    au = np.abs(u)
+    av = np.abs(v)
+    m = np.maximum(au, av)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = m * ((au / m) ** p + (av / m) ** p) ** (1.0 / p)
+    return np.where(m > 0.0, r, 0.0)
+
+
+def _uncached_radius(T, e, tol=1e-10):
+    def branch(M):
+        a, b, c, d = M.as_tuple()
+        p = e.p
+
+        def f(t):
+            tp = t**p
+            return (np.abs(a + d * tp) + np.abs(b * t + c * t ** (p - 1.0))) / (1.0 + tp)
+
+        return f
+
+    r1 = maximize_1d(branch(T), tol)
+    r2 = maximize_1d(branch(conjugate_by_swap(T)), tol)
+    value = max(r1.value, r2.value)
+    if r2.value > r1.value + tol:
+        branch_name, t_star = "second", r2.argmax
+    else:
+        branch_name, t_star = "first", r1.argmax
+    return RadiusResult(value=value, branch=branch_name, t_star=t_star, tol=tol)
+
+
+def _uncached_oracle(T, e):
+    a, b, c, d = T.as_tuple()
+    p = e.p
+
+    def pairing(sig):
+        def f(s):
+            x1 = sig * s
+            x2 = np.maximum(1.0 - s**p, 0.0) ** (1.0 / p)
+            x1s = sig * s ** (p - 1.0)
+            x2s = x2 ** (p - 1.0)
+            return np.abs(x1s * (a * x1 + b * x2) + x2s * (c * x1 + d * x2))
+
+        return f
+
+    return max(maximize_1d(pairing(sig), 1e-12).value for sig in (1.0, -1.0))
+
+
+def _uncached_op_norm(T, e, tol=1e-10):
+    a, b, c, d = T.as_tuple()
+    p = e.p
+
+    def chart(sign, swapped):
+        def f(s):
+            comp = np.maximum(1.0 - s**p, 0.0) ** (1.0 / p)
+            x1, x2 = (comp, sign * s) if swapped else (s, sign * comp)
+            return _uncached_lp_pair(a * x1 + b * x2, c * x1 + d * x2, p)
+
+        return f
+
+    best = None
+    for swapped in (False, True):
+        for sign in (1, -1):
+            r = maximize_1d(chart(sign, swapped), tol)
+            if best is None or r.value > best[0].value:
+                best = (r, sign, swapped)
+    r, sign, swapped = best
+    return OpNormResult(norm=r.value, s=r.argmax, sign=sign, swapped=swapped, tol=tol)
+
+
+CORPUS_PS = (1.1, 1.2, 4.0 / 3.0, 1.5, 2.0, 3.0, 6.0, 10.0)
+
+
+def _structured_matrices(rng):
+    """A scaled rotation, a diagonal and a rank-one operator."""
+    theta, s = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.1, 10.0)
+    u, v = rng.uniform(-3.0, 3.0, (2, 2))
+    return [
+        Mat2(s * np.cos(theta), -s * np.sin(theta), s * np.sin(theta), s * np.cos(theta)),
+        Mat2(rng.uniform(-10.0, 10.0), 0.0, 0.0, rng.uniform(-10.0, 10.0)),
+        Mat2(u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1]),
+    ]
+
+
+def _assert_matches_uncached(T, e):
+    assert numerical_radius(T, e) == _uncached_radius(T, e)
+    assert radius_oracle(T, e) == _uncached_oracle(T, e)
+    assert op_norm(T, e) == _uncached_op_norm(T, e)
+
+
+class TestCachedGridPowers:
+    """The cached grid powers and the two-power l_p pair move no result bit."""
+
+    @pytest.mark.parametrize("p", CORPUS_PS)
+    def test_corpus(self, p):
+        e = make_exponent(p)
+        rng = np.random.default_rng(int(p * 1000))
+        corpus = random_matrices(30, seed=int(p * 1000)) + _structured_matrices(rng)
+        for T in corpus + [Mat2(0.0, 0.0, 0.0, 0.0), ROTATION]:
+            _assert_matches_uncached(T, e)
+
+    @pytest.mark.parametrize("p", [1.0001, 1.3, 50.0, 1000.0])
+    def test_edge_cases(self, p):
+        e = make_exponent(p)
+        _assert_matches_uncached(Mat2(0.0, 0.0, 0.0, 0.0), e)
+        for scale, base in EXTREME_MATRICES:
+            _assert_matches_uncached(base.scaled(scale), e)
