@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpindex import Exponent, Mat2, make_exponent, maximize_1d
+from lpindex import Exponent, Mat2, make_exponent, maximize_1d, numerical_radius, op_norm, radius_oracle
 from lpindex.core import (
     _END_POINTS,
     _GRID,
@@ -174,8 +174,6 @@ class TestSpherePowers:
         assert _grid_powers.cache_info().hits == hits + 1
 
     def test_evicted_exponent_gives_identical_results(self):
-        from lpindex import numerical_radius, op_norm, radius_oracle
-
         T, e = Mat2(0.3, -2.0, 1.7, 0.9), make_exponent(1.4321)
 
         def results():
