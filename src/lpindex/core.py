@@ -7,7 +7,11 @@ maximize_1d(objective, tol).  It favors robustness: one fixed dense grid,
 geometrically refined inside the two end cells, localizes the two best local
 maxima, and a vectorized re-gridding of their brackets polishes them.  All
 values are 64-bit floats and all routines are pure functions, so results
-are bit-reproducible and safe to evaluate from parallel sweeps.
+are bit-reproducible and safe to evaluate from parallel sweeps.  The objective
+sees numpy arrays, but the one or two brackets and their best points are kept
+in Python floats: on two-element arrays numpy's fixed cost per call (masks,
+fancy indexing, reductions) outweighs the arithmetic, and the float updates
+are the same IEEE operations, so they move no bit.
 
 The objectives on the l_p unit sphere share the powers t^p and t^(p-1), the
 quadrant arc x2 = (1 - t^p)^(1/p) and x2^(p-1) (SpherePowers).  On the
@@ -185,50 +189,54 @@ def sphere_powers(t: np.ndarray, p: float) -> SpherePowers:
 def _prescan(objective: Callable):
     """Evaluate the objective on the grid and bracket its two best grid local maxima.
 
-    Returns (best_t, best_y, a, b): the maxima's points and values, best first,
-    and their brackets [a, b] between grid neighbours.
+    Returns (best_t, best_y, a, b) as lists of Python floats: the maxima's
+    points and values, best first, and their brackets [a, b] between grid
+    neighbours.
     """
     ys = _evaluate(objective, _GRID)
     left = np.concatenate(([True], ys[1:] >= ys[:-1]))
     right = np.concatenate((ys[:-1] >= ys[1:], [True]))
     peaks = np.flatnonzero(left & right)
     idx = peaks[np.argsort(-ys[peaks], kind="stable")[:2]]
-    return _GRID[idx], ys[idx], _GRID[np.maximum(idx - 1, 0)], _GRID[np.minimum(idx + 1, _GRID.size - 1)]
+    return (
+        _GRID[idx].tolist(),
+        ys[idx].tolist(),
+        _GRID[np.maximum(idx - 1, 0)].tolist(),
+        _GRID[np.minimum(idx + 1, _GRID.size - 1)].tolist(),
+    )
 
 
 def _refine(objective: Callable, best_t, best_y, a, b, tol: float) -> BracketedMax:
     """Re-grid _prescan's brackets together until their half-width is at most tol.
 
-    Updates best_t and best_y in place; the evaluation count includes the
-    pre-scan's.
+    Only the point block of each step is a numpy array; the one or two
+    brackets and their best points are Python floats, updated in place in
+    _prescan's lists, because on two-element arrays numpy's fixed cost per call
+    outweighs the arithmetic.  The evaluation count includes the pre-scan's.
     """
     evals = _GRID.size
-    rows = np.arange(a.size)
-    while True:
-        w = b - a
-        if not (w > 2.0 * tol).any():
-            break
-        pts = a[:, None] + w[:, None] * _REFINE_U
+    w = [hi - lo for lo, hi in zip(a, b)]
+    # every bracket steps while any one is wider than 2 tol: a bracket stopped
+    # on its own test would return other bits
+    while max(w) > 2.0 * tol:
+        pts = np.array(a)[:, None] + np.array(w)[:, None] * _REFINE_U
         vals = _evaluate(objective, pts)
         evals += pts.size
-        j = vals.argmax(axis=1)
-        y = vals[rows, j]
-        better = y > best_y
-        best_t[better] = pts[rows, j][better]
-        best_y[better] = y[better]
-        # the new bracket is two steps wide and holds the row's best point
-        j = np.minimum(np.maximum(j, 1), _REFINE_POINTS - 2)
-        a, b = pts[rows, j - 1], pts[rows, j + 1]
-        if not (b - a < w).any():
+        narrowed = False
+        for i, j in enumerate(vals.argmax(axis=1).tolist()):
+            y = vals.item(i, j)
+            if y > best_y[i]:
+                best_t[i], best_y[i] = pts.item(i, j), y
+            # the new bracket is two steps wide and holds the row's best point
+            j = min(max(j, 1), _REFINE_POINTS - 2)
+            a[i], b[i] = pts.item(i, j - 1), pts.item(i, j + 1)
+            narrowed = narrowed or b[i] - a[i] < w[i]
+            w[i] = b[i] - a[i]
+        if not narrowed:
             break  # brackets at the resolution of floating point
 
-    k = int(best_y.argmax())
-    return BracketedMax(
-        value=float(best_y[k]),
-        argmax=float(best_t[k]),
-        tol=float((b[k] - a[k]) / 2.0),
-        evaluations=evals,
-    )
+    k = max(range(len(best_y)), key=best_y.__getitem__)  # the first on ties
+    return BracketedMax(value=best_y[k], argmax=best_t[k], tol=w[k] / 2.0, evaluations=evals)
 
 
 def maximize_1d(objective: Callable, tol: float) -> BracketedMax:

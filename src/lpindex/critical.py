@@ -113,7 +113,7 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
     # the grid argmax (best_t, best_y of the best peak); the bisection below
     # polishes it, and the pre-scan's brackets refined to tol are the fallback
     scan = _prescan(f)
-    t0, mp = float(scan[0][0]), float(scan[1][0])
+    t0, mp = scan[0][0], scan[1][0]
     h = 1.0 / DEFAULT_GRID_N
 
     # The derivative blows up as t -> 0+ for p < 2, so the bisection bracket

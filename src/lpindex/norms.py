@@ -24,7 +24,9 @@ class OpNormResult:
     """Operator norm plus the witness point on the unit sphere.
 
     The witness is x = (s, sign*(1-s^p)^(1/p)), or the same expression with
-    the coordinates swapped when swapped is True.
+    the coordinates swapped when swapped is True.  Its arc coordinate is the
+    numpy SpherePowers arc the search evaluated, not libm's pow, so the
+    witness is the searched point bit for bit.
     """
 
     norm: float
@@ -34,7 +36,7 @@ class OpNormResult:
     tol: float
 
     def witness(self, e: Exponent) -> tuple[float, float]:
-        comp = max(1.0 - self.s**e.p, 0.0) ** (1.0 / e.p)
+        comp = sphere_powers(np.array([self.s]), e.p).x2.item()
         if self.swapped:
             return (comp, self.sign * self.s)
         return (self.s, self.sign * comp)

@@ -6,16 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpindex import Exponent, Mat2, make_exponent, maximize_1d, numerical_radius, op_norm, radius_oracle
+from lpindex import (
+    BracketedMax,
+    Exponent,
+    Mat2,
+    compute_mp,
+    make_exponent,
+    maximize_1d,
+    numerical_radius,
+    op_norm,
+    radius_oracle,
+)
 from lpindex.core import (
     _END_POINTS,
     _GRID,
     _POWERS_CACHE_SIZE,
+    _REFINE_POINTS,
+    _REFINE_U,
     DEFAULT_GRID_N,
     SpherePowers,
     _grid_powers,
     sphere_powers,
 )
+from lpindex.critical import objective as mp_objective
 
 EPS = sys.float_info.epsilon
 
@@ -186,3 +199,119 @@ class TestSpherePowers:
         assert _grid_powers.cache_info().currsize == _POWERS_CACHE_SIZE
         assert sphere_powers(_GRID, e.p) is not first
         assert results() == before
+
+
+# The maximizer's bookkeeping as written with array state: the pre-scan
+# returns numpy arrays, and the refinement updates them with masks and fancy
+# indexing on all rows at once.
+def _array_prescan(objective):
+    ys = np.asarray(objective(_GRID), dtype=float)
+    left = np.concatenate(([True], ys[1:] >= ys[:-1]))
+    right = np.concatenate((ys[:-1] >= ys[1:], [True]))
+    peaks = np.flatnonzero(left & right)
+    idx = peaks[np.argsort(-ys[peaks], kind="stable")[:2]]
+    return _GRID[idx], ys[idx], _GRID[np.maximum(idx - 1, 0)], _GRID[np.minimum(idx + 1, _GRID.size - 1)]
+
+
+def _array_refine(objective, best_t, best_y, a, b, tol):
+    evals = _GRID.size
+    rows = np.arange(a.size)
+    while True:
+        w = b - a
+        if not (w > 2.0 * tol).any():
+            break
+        pts = a[:, None] + w[:, None] * _REFINE_U
+        vals = np.asarray(objective(pts), dtype=float)
+        evals += pts.size
+        j = vals.argmax(axis=1)
+        y = vals[rows, j]
+        better = y > best_y
+        best_t[better] = pts[rows, j][better]
+        best_y[better] = y[better]
+        j = np.minimum(np.maximum(j, 1), _REFINE_POINTS - 2)
+        a, b = pts[rows, j - 1], pts[rows, j + 1]
+        if not (b - a < w).any():
+            break
+    k = int(best_y.argmax())
+    return BracketedMax(
+        value=float(best_y[k]),
+        argmax=float(best_t[k]),
+        tol=float((b[k] - a[k]) / 2.0),
+        evaluations=evals,
+    )
+
+
+def _array_maximize(objective, tol):
+    return _array_refine(objective, *_array_prescan(objective), tol)
+
+
+def _two_peaks(c1, c2, h2):
+    return lambda t: np.maximum(1.0 - 1e4 * (t - c1) ** 2, h2 - 1e4 * (t - c2) ** 2)
+
+
+def _end_cell_peak(t):
+    # t^(p-1) - t at p = 1.0001 peaks near t = 1e-4, inside the first grid cell
+    return t**1e-4 - t
+
+
+# tol at the floating-point-resolution stop, a typical tol, and one grid cell
+_TOLS = (1e-300, 1e-12, 1.0 / DEFAULT_GRID_N)
+_NARROW_C = (3688 + 0.3) / DEFAULT_GRID_N
+_OBJECTIVES = {
+    "constant": np.ones_like,
+    "single-peak": lambda t: -((t - 0.4321) ** 2),
+    "tied-peaks": _two_peaks(0.25, 0.75, 1.0),
+    "near-tied-peaks": _two_peaks(0.3001, 0.7002, 1.0 - 1e-15),
+    "narrow-tent": lambda t: np.maximum(1.0 - (t - 0.3) ** 2, 1.5 - 8000.0 * np.abs(t - _NARROW_C)),
+    "end-cell-peak": _end_cell_peak,
+    # an end-cell bracket narrows for more steps than an interior one before
+    # floating point stops it, so the interior row keeps stepping with it
+    "end-cell-and-interior": lambda t: np.maximum(_end_cell_peak(t), 0.9 - (t - 0.5) ** 2),
+}
+
+
+class TestFloatBookkeeping:
+    """maximize_1d's Python-float brackets give the array bookkeeping's result bit for bit."""
+
+    @pytest.mark.parametrize("tol", _TOLS, ids=["fp-resolution", "1e-12", "one-cell"])
+    @pytest.mark.parametrize("name", list(_OBJECTIVES))
+    def test_matches_array_state(self, name, tol):
+        f = _OBJECTIVES[name]
+        assert maximize_1d(f, tol) == _array_maximize(f, tol)
+
+    def test_objectives_cover_the_bookkeeping(self):
+        # one and two brackets, an exact tie, and both loop exits
+        sizes = {name: _array_prescan(f)[0].size for name, f in _OBJECTIVES.items()}
+        assert sizes == dict.fromkeys(_OBJECTIVES, 2) | {"single-peak": 1, "end-cell-peak": 1}
+        best_y = _array_prescan(_OBJECTIVES["tied-peaks"])[1]
+        assert best_y[0] == best_y[1]
+        assert maximize_1d(_OBJECTIVES["single-peak"], 1e-12).tol <= 1e-12
+        assert maximize_1d(_OBJECTIVES["single-peak"], 1e-300).tol > 1e-300
+
+    @given(
+        st.sampled_from(_TOLS),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.1, max_value=50.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_parabola(self, tol, c, a):
+        f = lambda t: -a * (t - c) ** 2
+        assert maximize_1d(f, tol) == _array_maximize(f, tol)
+
+    @given(
+        st.sampled_from(_TOLS),
+        st.floats(min_value=1.0, max_value=200.0),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_sine(self, tol, k, phase):
+        f = lambda t: np.sin(k * t + phase)
+        assert maximize_1d(f, tol) == _array_maximize(f, tol)
+
+    @pytest.mark.parametrize("p", [1.0 + 1e-12, 2.0 - 1e-9, 2.0 + 1e-9])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_compute_mp_fallback(self, p, tol):
+        e = make_exponent(p)
+        r = _array_maximize(lambda t: mp_objective(t, e), tol)
+        cp = compute_mp(e, tol=tol)
+        assert (cp.t0, cp.mp) == (r.argmax, r.value)

@@ -16,7 +16,9 @@ from lpindex import (
     riesz_thorin_bound,
     vec_norm,
 )
-from lpindex.norms import _lp_pair
+from lpindex import norms
+from lpindex.core import sphere_powers
+from lpindex.norms import _chart_objective, _lp_pair
 
 EPS = sys.float_info.epsilon
 
@@ -103,6 +105,37 @@ class TestOpNorm:
                 x = r.witness(e)
                 assert abs(vec_norm(x, e) - 1.0) <= 8.0 * EPS
                 assert vec_norm(T.apply(*x), e) == pytest.approx(r.norm, abs=r.tol)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 6.0])
+    def test_witness_is_the_searched_point(self, monkeypatch, p):
+        # record every chart point the search evaluated, with its value
+        searched = []
+
+        def recording(T, p, sign, swapped):
+            f = _chart_objective(T, p, sign, swapped)
+
+            def g(s):
+                y = f(s)
+                comp = sphere_powers(s, p).x2
+                x1, x2 = (comp, sign * s) if swapped else (s, sign * comp)
+                searched.append((sign, swapped, s, x1, x2, y))
+                return y
+
+            return g
+
+        monkeypatch.setattr(norms, "_chart_objective", recording)
+        e = make_exponent(p)
+        for T in random_matrices(50, seed=12):
+            searched.clear()
+            r = op_norm(T, e)
+            found = {
+                (float(x1[at]).hex(), float(x2[at]).hex())
+                for sign, swapped, s, x1, x2, y in searched
+                if (sign, swapped) == (r.sign, r.swapped)
+                for at in zip(*np.nonzero((s == r.s) & (y == r.norm)))
+            }
+            assert found == {tuple(c.hex() for c in r.witness(e))}
+            assert _chart_objective(T, p, r.sign, r.swapped)(np.array([r.s])).item() == r.norm
 
 
 class TestRieszThorin:
