@@ -230,8 +230,9 @@ def _refine(objective: Callable, best_t, best_y, a, b, tol: float) -> BracketedM
             # the new bracket is two steps wide and holds the row's best point
             j = min(max(j, 1), _REFINE_POINTS - 2)
             a[i], b[i] = pts.item(i, j - 1), pts.item(i, j + 1)
-            narrowed = narrowed or b[i] - a[i] < w[i]
-            w[i] = b[i] - a[i]
+            width = b[i] - a[i]
+            narrowed = narrowed or width < w[i]
+            w[i] = width
         if not narrowed:
             break  # brackets at the resolution of floating point
 

@@ -12,11 +12,11 @@ from lpindex import (
     make_exponent,
     norm_1,
     norm_inf,
+    norms,
     op_norm,
     riesz_thorin_bound,
     vec_norm,
 )
-from lpindex import norms
 from lpindex.core import sphere_powers
 from lpindex.norms import _chart_objective, _lp_pair
 
