@@ -14,12 +14,13 @@ fancy indexing, reductions) outweighs the arithmetic, and the float updates
 are the same IEEE operations, so they move no bit.
 
 The objectives on the l_p unit sphere share the powers t^p and t^(p-1), the
-quadrant arc x2 = (1 - t^p)^(1/p) and x2^(p-1) (SpherePowers).  On the
-pre-scan grid these do not depend on the operator, so sphere_powers keeps
-them per exponent, read-only, for the last _POWERS_CACHE_SIZE exponents
-(4 arrays of 4193 float64, about 134 KB each); on refinement points each
-objective computes only the powers it reads.  Cached or not, every power is
-the same numpy expression, so the cache moves no bit.
+quadrant arc x2 = (1 - t^p)^(1/p), x2^(p-1) and the quadrant chart, which
+maps t to a point of the positive quadrant of the unit sphere switched at the
+diagonal (SpherePowers).  On the pre-scan grid these do not depend on the
+operator, so sphere_powers keeps them per exponent, read-only, for the last
+_POWERS_CACHE_SIZE exponents (6 arrays of 4193 float64, about 201 KB each);
+on refinement points each objective computes only what it reads.  Cached or
+not, every array is the same numpy expression, so the cache moves no bit.
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ class SpherePowers:
     """Powers of points t in [0, 1] for an exponent p, each computed on first use.
 
     tp = t^p, tp1 = t^(p-1), the unit-sphere quadrant arc
-    x2 = max(1 - t^p, 0)^(1/p), so that (t, x2) has l_p norm 1, and
-    x2p1 = x2^(p-1).  This is the one definition of each; objectives get
-    their instance from sphere_powers.
+    x2 = max(1 - t^p, 0)^(1/p), so that (t, x2) has l_p norm 1,
+    x2p1 = x2^(p-1), and the quadrant chart (see chart).  This is the one
+    definition of each; objectives get their instance from sphere_powers.
     """
 
     def __init__(self, t: np.ndarray, p: float):
@@ -170,12 +171,30 @@ class SpherePowers:
     def x2p1(self) -> np.ndarray:
         return self.x2 ** (self.p - 1.0)
 
+    @_computed_once
+    def chart(self) -> tuple[np.ndarray, np.ndarray]:
+        """The quadrant chart (u, v): points of l_p norm 1 with u, v >= 0.
+
+        It is switched at the diagonal so that the arc is only ever read where
+        its slope is at most 1 in magnitude: for t <= 1/2 the point is
+        (s, x2(s)) with s = 2t 2^(-1/p), and for t > 1/2 it is (x2(s), s) with
+        s = (2 - 2t) 2^(-1/p).  So t = 0, 1/2, 1 map to (0, 1), the diagonal
+        and (1, 0).  On the uniform grid points k/4096 other than 1/2 the map
+        is mirror-exact: t and 1 - t give the same s, so they map to swapped
+        points.
+        """
+        lower = self.t <= 0.5
+        t2 = 2.0 * self.t
+        s = np.where(lower, t2, 2.0 - t2) * 2.0 ** (-1.0 / self.p)
+        x2 = SpherePowers(s, self.p).x2
+        return np.where(lower, s, x2), np.where(lower, x2, s)
+
 
 @functools.lru_cache(maxsize=_POWERS_CACHE_SIZE)
 def _grid_powers(p: float) -> SpherePowers:
-    """The SpherePowers of the pre-scan grid, all four computed and read-only."""
+    """The SpherePowers of the pre-scan grid, all computed and read-only."""
     pw = SpherePowers(_GRID, p)
-    for arr in (pw.tp, pw.tp1, pw.x2, pw.x2p1):
+    for arr in (pw.tp, pw.tp1, pw.x2, pw.x2p1, *pw.chart):
         arr.flags.writeable = False
     return pw
 
@@ -190,19 +209,27 @@ def _prescan(objective: Callable):
     """Evaluate the objective on the grid and bracket its two best grid local maxima.
 
     Returns (best_t, best_y, a, b) as lists of Python floats: the maxima's
-    points and values, best first, and their brackets [a, b] between grid
-    neighbours.
+    points and values, best first (the first in grid order on ties), and
+    their brackets [a, b] between grid neighbours.  A grid local maximum is
+    a point at least as high as each neighbour; the interior ones are found
+    in one pass and the two ends are checked as scalars.
     """
     ys = _evaluate(objective, _GRID)
-    left = np.concatenate(([True], ys[1:] >= ys[:-1]))
-    right = np.concatenate((ys[:-1] >= ys[1:], [True]))
-    peaks = np.flatnonzero(left & right)
-    idx = peaks[np.argsort(-ys[peaks], kind="stable")[:2]]
+    last = _GRID.size - 1
+    mid = ys[1:-1]
+    inner = ((mid >= ys[:-2]) & (mid >= ys[2:])).nonzero()[0]
+    # the two best interior maxima and the ends that are maxima, in grid order
+    peaks = sorted((inner[np.argsort(-mid[inner], kind="stable")[:2]] + 1).tolist())
+    if ys.item(0) >= ys.item(1):
+        peaks.insert(0, 0)
+    if ys.item(last) >= ys.item(last - 1):
+        peaks.append(last)
+    idx = sorted(peaks, key=ys.item, reverse=True)[:2]  # stable: keeps grid order on ties
     return (
-        _GRID[idx].tolist(),
-        ys[idx].tolist(),
-        _GRID[np.maximum(idx - 1, 0)].tolist(),
-        _GRID[np.minimum(idx + 1, _GRID.size - 1)].tolist(),
+        [_GRID.item(i) for i in idx],
+        [ys.item(i) for i in idx],
+        [_GRID.item(max(i - 1, 0)) for i in idx],
+        [_GRID.item(min(i + 1, last)) for i in idx],
     )
 
 

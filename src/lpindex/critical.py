@@ -1,4 +1,4 @@
-"""Critical point of max_t |t^(p-1) - t| / (1 + t^p) and its certified bracket.
+"""Critical point of max_t |t^(p-1) - t| / (1 + t^p) and a float check of its bracket.
 
 compute_mp finds the interior maximizer t0 and the maximum value; the grid
 pre-scan localizes the critical point and a bisection on the closed-form
@@ -8,9 +8,11 @@ bracketing inequalities
     ((2p-2)/(4-p))^(1/(2-p)) <= t0 <= ((p-1)/(2p+1))^(1/p),
     t0^(2p-3) <= q/p,
 
-and reports the smallest slack; a 1e-9 safety band is absorbed into each
-comparison so that a pass means the inequality holds with visible margin,
-not merely up to rounding.
+in float64 at the one exponent it is given, and reports the smallest slack;
+a 1e-9 safety band is absorbed into each comparison so that a pass means the
+inequality holds with visible margin, not merely up to rounding.  It is a
+numerical check, not a certificate: nothing is rounded outward, and it says
+nothing about the exponents it was not given.
 """
 
 from __future__ import annotations

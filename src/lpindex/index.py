@@ -22,6 +22,7 @@ counterexample found at this resolution", not a proof.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -232,8 +233,10 @@ def _nelder_mead(fn, x0, ftol: float = _NM_FTOL):
     anyway (numpy's array power differs from libm pow on about 5% of inputs).
     Each step does the array form's arithmetic in the same order (the
     centroid sums the first n vertices in sequence, as numpy's mean(axis=0)
-    does; the sort is stable), so _nelder_mead_lockstep, which steps numpy
-    arrays, reproduces it bit for bit.
+    does; the order is a stable sort's, kept after a step that moves only
+    the last vertex by inserting it at bisect_right), so
+    _nelder_mead_lockstep, which steps numpy arrays, reproduces it bit for
+    bit.
     Returns the best vertex, as a list, and its value.
     """
     x0 = [float(v) for v in x0]
@@ -241,10 +244,18 @@ def _nelder_mead(fn, x0, ftol: float = _NM_FTOL):
     simplex = [x0] + [x0[:i] + [x0[i] + _NM_STEP] + x0[i + 1 :] for i in range(n)]
     vals = [fn(x) for x in simplex]
 
+    resort = True
     for _ in range(_NM_MAX_ITER):
-        order = sorted(range(n + 1), key=vals.__getitem__)
-        simplex = [simplex[i] for i in order]
-        vals = [vals[i] for i in order]
+        if resort:
+            order = sorted(range(n + 1), key=vals.__getitem__)
+            simplex = [simplex[i] for i in order]
+            vals = [vals[i] for i in order]
+            resort = False
+        else:
+            # only the last vertex moved: its stable-sort place is after its equals
+            k = bisect_right(vals, vals[-1], 0, n)
+            simplex.insert(k, simplex.pop())
+            vals.insert(k, vals.pop())
         best, worst = simplex[0], simplex[-1]
         if vals[-1] - vals[0] <= ftol and max(abs(v - b) for x in simplex[1:] for v, b in zip(x, best)) <= 1e-8:
             break
@@ -273,6 +284,7 @@ def _nelder_mead(fn, x0, ftol: float = _NM_FTOL):
                 for i in range(1, n + 1):
                     simplex[i] = [b + 0.5 * (v - b) for b, v in zip(best, simplex[i])]
                     vals[i] = fn(simplex[i])
+                resort = True
     i = min(range(n + 1), key=vals.__getitem__)
     return simplex[i], vals[i]
 

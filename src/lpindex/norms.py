@@ -1,12 +1,14 @@
 """Vector and operator norms on the two-dimensional l_p plane.
 
-The induced operator norm is computed by maximizing ||Tx||_p over the unit
-sphere, parametrized by two overlapping charts x = (s, sign*(1-s^p)^(1/p))
-and x = ((1-s^p)^(1/p), sign*s) with s in [0, 1].  Either chart alone covers
-the half-sphere x1 >= 0 (which suffices, since ||T(-x)|| = ||Tx||), but the
-derivative of (1-s^p)^(1/p) blows up at s = 1, so each chart is only used
-where it is well conditioned.  The interpolation bound
-||T|| <= ||T||_1^(1/p) * ||T||_inf^(1/q) sits alongside as a cheap certificate.
+The induced operator norm is computed by maximizing ||Tx||_p over the half
+unit sphere x1 >= 0 (which suffices, since ||T(-x)|| = ||Tx||), one 1-d
+maximization per relative sign of the coordinates.  Each scans the quadrant
+chart of SpherePowers: t in [0, 1/2] maps to x = (s, sign*(1-s^p)^(1/p)) and
+t in (1/2, 1] to x = ((1-s^p)^(1/p), sign*s), with s <= 2^(-1/p).  Switched at
+the diagonal, the chart covers the quadrant once and never reads the arc
+(1-s^p)^(1/p) near s = 1, where its slope is infinite.  The interpolation
+bound ||T|| <= ||T||_1^(1/p) * ||T||_inf^(1/q) sits alongside as a cheap
+certificate.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ from .core import Exponent, Mat2, maximize_1d, sphere_powers
 class OpNormResult:
     """Operator norm plus the witness point on the unit sphere.
 
-    The witness is x = (s, sign*(1-s^p)^(1/p)), or the same expression with
-    the coordinates swapped when swapped is True.  Its arc coordinate is the
-    numpy SpherePowers arc the search evaluated, not libm's pow, so the
-    witness is the searched point bit for bit.
+    The search's argmax t* on the quadrant chart is kept as the chart's
+    coordinate s (2t* 2^(-1/p), or (2 - 2t*) 2^(-1/p) past the diagonal),
+    swapped = t* > 1/2, and the sign of the second coordinate.  The witness
+    is x = (s, sign*(1-s^p)^(1/p)), or ((1-s^p)^(1/p), sign*s) when swapped
+    is True.  Its arc coordinate is the numpy SpherePowers arc the search
+    evaluated, not libm's pow, so the witness is the searched point bit for
+    bit.
     """
 
     norm: float
@@ -77,16 +82,14 @@ def _lp_pair(u, v, p):
     return np.where(m > 0.0, r, 0.0)
 
 
-def _chart_objective(T: Mat2, p: float, sign: int, swapped: bool):
+def _norm_objective(T: Mat2, p: float, sign: int):
+    """t -> ||T(u, sign*v)||_p on the quadrant chart (u, v) of SpherePowers."""
     a, b, c, d = T.as_tuple()
+    b, d = sign * b, sign * d  # (sign b) v = b (sign v): negation is exact
 
-    def f(s):
-        comp = sphere_powers(s, p).x2
-        if swapped:
-            x1, x2 = comp, sign * s
-        else:
-            x1, x2 = s, sign * comp
-        return _lp_pair(a * x1 + b * x2, c * x1 + d * x2, p)
+    def f(t):
+        u, v = sphere_powers(t, p).chart
+        return _lp_pair(a * u + b * v, c * u + d * v, p)
 
     return f
 
@@ -94,18 +97,20 @@ def _chart_objective(T: Mat2, p: float, sign: int, swapped: bool):
 def op_norm(T: Mat2, e: Exponent, tol: float = 1e-10) -> OpNormResult:
     """sup of ||Tx||_p over the l_p unit sphere.
 
-    Scans the two charts with both relative signs of the coordinates
-    (2 sign cases suffice by homogeneity x -> -x), each through the bracketed
-    1-d maximizer.
+    One bracketed 1-d maximization over the quadrant chart per relative sign
+    of the coordinates (2 sign cases suffice by homogeneity x -> -x); the
+    first sign wins ties.
     """
     best = None
-    for swapped in (False, True):
-        for sign in (1, -1):
-            r = maximize_1d(_chart_objective(T, e.p, sign, swapped), tol)
-            if best is None or r.value > best[0].value:
-                best = (r, sign, swapped)
-    r, sign, swapped = best
-    return OpNormResult(norm=r.value, s=r.argmax, sign=sign, swapped=swapped, tol=tol)
+    for sign in (1, -1):
+        r = maximize_1d(_norm_objective(T, e.p, sign), tol)
+        if best is None or r.value > best[0].value:
+            best = (r, sign)
+    r, sign = best
+    swapped = r.argmax > 0.5
+    u, v = sphere_powers(np.array([r.argmax]), e.p).chart
+    s = (v if swapped else u).item()
+    return OpNormResult(norm=r.value, s=s, sign=sign, swapped=swapped, tol=tol)
 
 
 def riesz_thorin_bound(T: Mat2, e: Exponent) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lpindex import (
     BracketedMax,
@@ -26,6 +27,7 @@ from lpindex.core import (
     DEFAULT_GRID_N,
     SpherePowers,
     _grid_powers,
+    _prescan,
     sphere_powers,
 )
 from lpindex.critical import objective as mp_objective
@@ -172,6 +174,35 @@ class TestSpherePowers:
                 arr[0] = 0.5
             assert np.array_equal(arr, getattr(fresh, name))
 
+    def test_grid_chart_is_read_only_and_matches_a_fresh_chart(self):
+        p = 1.2345
+        cached = sphere_powers(_GRID, p).chart
+        fresh = SpherePowers(_GRID.copy(), p).chart
+        for arr, ref in zip(cached, fresh):
+            assert not arr.flags.writeable
+            assert np.array_equal(arr, ref)
+
+    @pytest.mark.parametrize("p", [1.0001, 1.2, 2.0, 3.0, 1000.0])
+    def test_chart_is_the_arc_switched_at_the_diagonal(self, p):
+        u, v = sphere_powers(_GRID, p).chart
+        lower = _GRID <= 0.5
+        s = np.where(lower, 2.0 * _GRID, 2.0 - 2.0 * _GRID) * 2.0 ** (-1.0 / p)
+        x2 = SpherePowers(s, p).x2
+        assert np.array_equal(u, np.where(lower, s, x2))
+        assert np.array_equal(v, np.where(lower, x2, s))
+        assert (u[0], v[0], u[-1], v[-1]) == (0.0, 1.0, 1.0, 0.0)
+        # the arc is read only up to the diagonal, where its slope is -1
+        assert s.max() == 2.0 ** (-1.0 / p)
+
+    @pytest.mark.parametrize("p", [1.0001, 1.2, 2.0, 3.0, 1000.0])
+    def test_chart_is_mirror_exact_on_uniform_points(self, p):
+        # t and 1 - t map to swapped points on k/4096, except the diagonal t = 1/2
+        t = np.arange(DEFAULT_GRID_N + 1) / DEFAULT_GRID_N
+        u, v = SpherePowers(t, p).chart
+        off_diagonal = t != 0.5
+        assert np.array_equal(u[off_diagonal], v[::-1][off_diagonal])
+        assert np.array_equal(v[off_diagonal], u[::-1][off_diagonal])
+
     def test_other_points_are_not_cached(self):
         before = _grid_powers.cache_info()
         pts = _GRID[:65].copy()
@@ -315,3 +346,57 @@ class TestFloatBookkeeping:
         r = _array_maximize(lambda t: mp_objective(t, e), tol)
         cp = compute_mp(e, tol=tol)
         assert (cp.t0, cp.mp) == (r.argmax, r.value)
+
+
+_N = _GRID.size
+_ULP_BELOW_ONE = np.nextafter(1.0, 0.0)
+_PEAK_ARRAYS = {
+    "constant": np.ones(_N),
+    "left-end": 1.0 - _GRID,
+    "right-end": _GRID.copy(),
+    "both-ends": (_GRID - 0.5) ** 2,
+    "tied-ends": np.where(np.arange(_N) % (_N - 1) == 0, 2.0, 1.0),
+    "plateau": np.minimum(1.0, 3.0 * np.sin(np.pi * _GRID)),
+    "plateaus-and-steps": np.floor(8.0 * np.sin(7.0 * _GRID) ** 2),
+}
+
+
+def _spikes(at, heights, base=0.0):
+    ys = np.full(_N, base)
+    ys[list(at)] = heights
+    return ys
+
+
+# one ulp apart, and exact ties after the best, inside and at the ends
+_PEAK_ARRAYS["near-tied-interior"] = _spikes((700, 2100, 3500), (_ULP_BELOW_ONE, 1.0, 1.0))
+_PEAK_ARRAYS["near-tied-ends"] = _spikes((0, _N - 1), (_ULP_BELOW_ONE, 1.0), base=0.5)
+_PEAK_ARRAYS["end-and-interior-tie"] = _spikes((0, 1500, _N - 1), (1.0, 1.0, _ULP_BELOW_ONE))
+
+
+class TestPrescanPeaks:
+    """_prescan's one-pass peak search brackets the six-pass form's peaks."""
+
+    @staticmethod
+    def _assert_matches_six_passes(ys):
+        f = lambda t: ys
+        assert _prescan(f) == tuple(arr.tolist() for arr in _array_prescan(f))
+
+    @pytest.mark.parametrize("name", list(_PEAK_ARRAYS))
+    def test_edge_arrays(self, name):
+        self._assert_matches_six_passes(_PEAK_ARRAYS[name])
+
+    @given(arrays(np.float64, _N, elements=st.sampled_from([-1.0, 0.0, _ULP_BELOW_ONE, 1.0])))
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_arrays(self, ys):
+        self._assert_matches_six_passes(ys)
+
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_dense_ties(self, levels, seed):
+        ys = np.random.default_rng(seed).integers(0, levels, _N).astype(float)
+        self._assert_matches_six_passes(ys)
+
+    @given(st.floats(min_value=1.0, max_value=500.0), st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    @settings(max_examples=50, deadline=None)
+    def test_smooth(self, k, phase):
+        self._assert_matches_six_passes(np.sin(k * _GRID + phase))
