@@ -159,6 +159,8 @@ def cmd_index(args) -> int:
             "minimizer": {"a": m.a, "b": m.b, "c": m.c, "d": m.d},
             "starts": est.starts,
             "converged": est.converged,
+            "top3_spread": est.top3_spread,
+            "near_best": est.near_best,
         },
     )
     return 0

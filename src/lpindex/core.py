@@ -16,11 +16,13 @@ are the same IEEE operations, so they move no bit.
 The objectives on the l_p unit sphere share the powers t^p and t^(p-1), the
 quadrant arc x2 = (1 - t^p)^(1/p), x2^(p-1) and the quadrant chart, which
 maps t to a point of the positive quadrant of the unit sphere switched at the
-diagonal (SpherePowers).  On the pre-scan grid these do not depend on the
-operator, so sphere_powers keeps them per exponent, read-only, for the last
-_POWERS_CACHE_SIZE exponents (6 arrays of 4193 float64, about 201 KB each);
-on refinement points each objective computes only what it reads.  Cached or
-not, every array is the same numpy expression, so the cache moves no bit.
+diagonal (SpherePowers).  op_norm searches the chart, and the index surrogate
+samples the norm on it at its own 257-point grid.  On the pre-scan grid these
+do not depend on the operator, so sphere_powers keeps them per exponent,
+read-only, for the last _POWERS_CACHE_SIZE exponents (6 arrays of 4193
+float64, about 201 KB each); on refinement points each objective computes
+only what it reads.  Cached or not, every array is the same numpy
+expression, so the cache moves no bit.
 """
 
 from __future__ import annotations

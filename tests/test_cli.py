@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lpindex import critical
+from lpindex import critical, estimate_index, make_exponent
 from lpindex.cli import SWEEP_COLUMNS, VERIFY_CLAIM_GRID, _fmt17, _sweep_row, _verify_row, main
 from lpindex.core import _GRID
 from lpindex.index import _SURROGATE_N
@@ -98,6 +98,15 @@ class TestIndex:
     def test_gap_at_p3(self, capsys):
         res = run_json(capsys, "index", "3", "--starts", "8")["result"]
         assert abs(res["gap"]) <= 1e-3
+
+    def test_reports_agreement_of_starts(self, capsys):
+        est = estimate_index(make_exponent(3.0), starts=8, seed=0)
+        res = run_json(capsys, "index", "3", "--starts", "8")["result"]
+        assert (res["converged"], res["top3_spread"], res["near_best"]) == (
+            est.converged, est.top3_spread, est.near_best)
+        res = run_json(capsys, "index", "3", "--starts", "2")["result"]
+        assert res["top3_spread"] is None and not res["converged"]
+        assert res["near_best"] in (1, 2)
 
     def test_bad_starts_exit_2(self, capsys):
         assert main(["index", "3", "--starts", "0"]) == 2
