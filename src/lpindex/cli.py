@@ -120,6 +120,8 @@ def cmd_radius(args) -> int:
             "branch": r.branch,
             "t_star": r.t_star,
             "tol": r.tol,
+            "evaluations": r.evaluations,
+            "halfwidth": r.halfwidth,
         },
     )
     return 0
@@ -139,6 +141,8 @@ def cmd_opnorm(args) -> int:
             "norm": r.norm,
             "witness": {"s": r.s, "sign": r.sign, "swapped": r.swapped, "x1": x1, "x2": x2},
             "tol": r.tol,
+            "evaluations": r.evaluations,
+            "halfwidth": r.halfwidth,
         },
     )
     return 0

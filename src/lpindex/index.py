@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 
 import numpy as np
@@ -92,7 +92,11 @@ class IndexEstimate:
 
 @dataclass(frozen=True)
 class ClaimRegionReport:
-    """Outcome of minimizing the lower-bound ratio over one claim region."""
+    """Outcome of minimizing the lower-bound ratio over one claim region.
+
+    feasible_points counts the grid points scored; evaluations counts the
+    polish objective's calls.
+    """
 
     claim_id: int
     p: float
@@ -101,6 +105,8 @@ class ClaimRegionReport:
     holds: bool
     worst_point: SignPatternOp
     feasibility_slack: float
+    feasible_points: int
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -189,6 +195,16 @@ def claim3_balance_b(T: SignPatternOp, e: Exponent, t0: float) -> float:
     b = c - (d - a) (1 + t0^p) / (t0^(p-1) + t0).
     """
     return _claim_entries(3, (T.a, T.c, T.d), _t0_powers(e, t0))[1]
+
+
+@lru_cache(maxsize=4)
+def _claim_mesh(grid_n: int, dims: int) -> tuple[np.ndarray, ...]:
+    """The raveled coordinates of the grid_n-per-axis mesh of the unit cube in dims dimensions, read-only."""
+    g = np.linspace(0.0, 1.0, grid_n)
+    mesh = tuple(x.ravel() for x in np.meshgrid(*[g] * dims, indexing="ij"))
+    for x in mesh:
+        x.flags.writeable = False
+    return mesh
 
 
 def _fold01(x: np.ndarray) -> np.ndarray:
@@ -480,6 +496,12 @@ def verify_claim_region(
     evaluations can become the reported infimum.  Out-of-hypothesis p raises
     unless force=True.
 
+    Only the feasible mesh points are scored (feasible_points of them); the
+    polish starts from the first one with the least ratio, or from the mesh's
+    first point when none has a finite ratio.  The p-independent cube mesh is
+    built once per grid_n and kept read-only in a small cache; claim 3's kink
+    traces depend on t0 and are built on each call.
+
     Each claim has one set of constraints, used by the grid, the polish and the
     report alike; feasibility_slack is their smallest slack at worst_point.
     Claim 3 searches its manifold with d >= a, b >= c t0^(2-p) and b >= 0.  That
@@ -504,9 +526,8 @@ def verify_claim_region(
     target = (tp1 - t0) / (1.0 + tp)
 
     # the grid, in search coordinates
-    g = np.linspace(0.0, 1.0, grid_n)
     if claim_id == 3:
-        A3, C3, D3 = (x.ravel() for x in np.meshgrid(g, g, g, indexing="ij"))
+        A3, C3, D3 = _claim_mesh(grid_n, 3)
         line = np.linspace(0.0, 1.0, grid_n * grid_n + 1)
         # kink traces a = d t0^p on both normalization charts max(c, d) = 1
         X = (
@@ -515,21 +536,32 @@ def verify_claim_region(
             np.concatenate([D3, line, np.ones_like(line)]),
         )
     else:
-        X = tuple(x.ravel() for x in np.meshgrid(g, g, g, g, indexing="ij"))
+        X = _claim_mesh(grid_n, 4)
     A, B, C, D = _claim_entries(claim_id, X, pts)
-    feas = np.maximum(np.maximum(A, B), np.maximum(C, D)) > 0.0
+    # nonzero operators; on finite entries this is max(A, B, C, D) > 0 in bool temporaries
+    feas = (A > 0.0) | (B > 0.0) | (C > 0.0) | (D > 0.0)
     for slack in _claim_slacks(claim_id, A, B, C, D, t2p):
         feas &= slack >= 0.0
-    fg = np.maximum(_functional(A, B, C, D, *pts), _functional(D, C, B, A, *pts))
+    # score the feasible points only; the first least ratio is the grid's argmin
+    idx = np.flatnonzero(feas)
+    a, b, c, d = A[idx], B[idx], C[idx], D[idx]
+    fg = np.maximum(_functional(a, b, c, d, *pts), _functional(d, c, b, a, *pts))
     with np.errstate(invalid="ignore", divide="ignore"):
-        rt = np.maximum(A + C, B + D) ** (1.0 / p) * np.maximum(A + B, C + D) ** (1.0 / q)
-        ratio = np.where(feas & (rt > 0.0), fg / rt, np.inf)
-    i = int(np.argmin(ratio))
+        rt = np.maximum(a + c, b + d) ** (1.0 / p) * np.maximum(a + b, c + d) ** (1.0 / q)
+        ratio = np.where(rt > 0.0, fg / rt, np.inf)
+    i, start_val = 0, math.inf
+    if idx.size:
+        k = int(np.argmin(ratio))
+        if ratio[k] != np.inf:
+            i, start_val = int(idx[k]), float(ratio[k])
 
     # penalized local polish from the best grid point, tracking feasible evals
-    tracked = [(float(ratio[i]), (float(A[i]), float(B[i]), float(C[i]), float(D[i])))]
+    tracked = [(start_val, (float(A[i]), float(B[i]), float(C[i]), float(D[i])))]
+    evaluations = 0
 
     def polish_obj(x):
+        nonlocal evaluations
+        evaluations += 1
         a, b, c, d = _claim_entries(claim_id, _fold01_floats(x), pts)
         if max(a, b, c, d) < 1e-12:
             return 2.0
@@ -552,6 +584,8 @@ def verify_claim_region(
         holds=best_val >= target - 1e-7,
         worst_point=worst,
         feasibility_slack=min(_claim_slacks(claim_id, *worst.as_tuple(), t2p)),
+        feasible_points=int(idx.size),
+        evaluations=evaluations,
     )
 
 

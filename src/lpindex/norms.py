@@ -31,7 +31,8 @@ class OpNormResult:
     is x = (s, sign*(1-s^p)^(1/p)), or ((1-s^p)^(1/p), sign*s) when swapped
     is True.  Its arc coordinate is the numpy SpherePowers arc the search
     evaluated, not libm's pow, so the witness is the searched point bit for
-    bit.
+    bit.  evaluations counts the objective points of both sign maximizations;
+    halfwidth is the reported sign's final bracket half-width.
     """
 
     norm: float
@@ -39,6 +40,8 @@ class OpNormResult:
     sign: int
     swapped: bool
     tol: float
+    evaluations: int
+    halfwidth: float
 
     def witness(self, e: Exponent) -> tuple[float, float]:
         comp = sphere_powers(np.array([self.s]), e.p).x2.item()
@@ -102,15 +105,19 @@ def op_norm(T: Mat2, e: Exponent, tol: float = 1e-10) -> OpNormResult:
     first sign wins ties.
     """
     best = None
+    evaluations = 0
     for sign in (1, -1):
         r = maximize_1d(_norm_objective(T, e.p, sign), tol)
+        evaluations += r.evaluations
         if best is None or r.value > best[0].value:
             best = (r, sign)
     r, sign = best
     swapped = r.argmax > 0.5
     u, v = sphere_powers(np.array([r.argmax]), e.p).chart
     s = (v if swapped else u).item()
-    return OpNormResult(norm=r.value, s=s, sign=sign, swapped=swapped, tol=tol)
+    return OpNormResult(
+        norm=r.value, s=s, sign=sign, swapped=swapped, tol=tol, evaluations=evaluations, halfwidth=r.tol
+    )
 
 
 def riesz_thorin_bound(T: Mat2, e: Exponent) -> float:

@@ -25,12 +25,16 @@ class RadiusResult:
     """Numerical radius with the attained branch and its maximizer.
 
     branch is "first" or "second"; ties within tol report "first".
+    evaluations counts the objective points of both branch maximizations;
+    halfwidth is the reported branch's final bracket half-width.
     """
 
     value: float
     branch: str
     t_star: float
     tol: float
+    evaluations: int
+    halfwidth: float
 
 
 def conjugate_by_swap(T: Mat2) -> Mat2:
@@ -59,11 +63,15 @@ def numerical_radius(T: Mat2, e: Exponent, tol: float = 1e-10) -> RadiusResult:
     r1 = maximize_1d(branch_integrand(T, e), tol)
     r2 = maximize_1d(branch_integrand(conjugate_by_swap(T), e), tol)
     value = max(r1.value, r2.value)
-    if r2.value > r1.value + tol:
-        branch, t_star = "second", r2.argmax
-    else:
-        branch, t_star = "first", r1.argmax
-    return RadiusResult(value=value, branch=branch, t_star=t_star, tol=tol)
+    branch, r = ("second", r2) if r2.value > r1.value + tol else ("first", r1)
+    return RadiusResult(
+        value=value,
+        branch=branch,
+        t_star=r.argmax,
+        tol=tol,
+        evaluations=r1.evaluations + r2.evaluations,
+        halfwidth=r.tol,
+    )
 
 
 def radius_oracle(T: Mat2, e: Exponent) -> float:

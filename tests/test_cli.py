@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lpindex import critical, estimate_index, make_exponent
+from lpindex import Mat2, critical, estimate_index, make_exponent, numerical_radius, op_norm
 from lpindex.cli import SWEEP_COLUMNS, VERIFY_CLAIM_GRID, _fmt17, _sweep_row, _verify_row, main
 from lpindex.core import _GRID
 from lpindex.index import _SURROGATE_N
@@ -78,6 +78,11 @@ class TestRadius:
         doc = run_json(capsys, "radius", "1.3", "0", "1", "-1", "0")
         assert doc["settings"] == {"tol": 1e-10, "grid_n": 4096}
 
+    def test_reports_evaluations_and_halfwidth(self, capsys):
+        res = run_json(capsys, "radius", "1.3", "1", "2", "3", "4", "--tol", "1e-8")["result"]
+        r = numerical_radius(Mat2(1.0, 2.0, 3.0, 4.0), make_exponent(1.3), tol=1e-8)
+        assert (res["evaluations"], res["halfwidth"]) == (r.evaluations, r.halfwidth)
+
 
 class TestOpnorm:
     def test_diagonal(self, capsys):
@@ -88,6 +93,11 @@ class TestOpnorm:
     def test_settings_header(self, capsys):
         doc = run_json(capsys, "opnorm", "1.3", "1", "2", "3", "4", "--tol", "1e-8")
         assert doc["settings"] == {"tol": 1e-8, "grid_n": 4096}
+
+    def test_reports_evaluations_and_halfwidth(self, capsys):
+        res = run_json(capsys, "opnorm", "1.3", "1", "2", "3", "4", "--tol", "1e-8")["result"]
+        r = op_norm(Mat2(1.0, 2.0, 3.0, 4.0), make_exponent(1.3), tol=1e-8)
+        assert (res["evaluations"], res["halfwidth"]) == (r.evaluations, r.halfwidth)
 
 
 class TestIndex:

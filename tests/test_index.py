@@ -26,10 +26,16 @@ from lpindex import (
     riesz_thorin_bound,
     verify_claim_region,
 )
+from lpindex import index
+from lpindex.cli import VERIFY_CLAIM_GRID, _verify_row
 from lpindex.index import (
+    ClaimRegionReport,
+    _claim_entries,
+    _claim_mesh,
     _claim_slacks,
     _fold01,
     _fold01_floats,
+    _functional,
     _halton,
     _lower_ratio,
     _nelder_mead,
@@ -498,6 +504,168 @@ class TestClaimRegions:
             # the searched set lies inside claim 3's region, since kappa >= 1
             region = (d - a, (a + c) - (b + d), (c + a - d) - c * t2p)
             assert min(region) >= -1e-12
+
+
+def _full_grid_claim_region(claim_id, e, grid_n):
+    """verify_claim_region as written before it scored feasible points only:
+    a fresh mesh on every call, F/G and the ratio at every mesh point, inf at
+    the infeasible ones, and np.argmin over the whole array."""
+    p, q = e.p, e.q
+    pts = t0, tp, tp1 = _t0_powers(e, compute_mp(e).t0)
+    t2p = t0 ** (2.0 - p)
+    target = (tp1 - t0) / (1.0 + tp)
+    g = np.linspace(0.0, 1.0, grid_n)
+    if claim_id == 3:
+        A3, C3, D3 = (x.ravel() for x in np.meshgrid(g, g, g, indexing="ij"))
+        line = np.linspace(0.0, 1.0, grid_n * grid_n + 1)
+        X = (
+            np.concatenate([A3, line * tp, np.full_like(line, tp)]),
+            np.concatenate([C3, np.ones_like(line), line]),
+            np.concatenate([D3, line, np.ones_like(line)]),
+        )
+    else:
+        X = tuple(x.ravel() for x in np.meshgrid(g, g, g, g, indexing="ij"))
+    A, B, C, D = _claim_entries(claim_id, X, pts)
+    feas = np.maximum(np.maximum(A, B), np.maximum(C, D)) > 0.0
+    for slack in index._claim_slacks(claim_id, A, B, C, D, t2p):
+        feas &= slack >= 0.0
+    fg = np.maximum(index._functional(A, B, C, D, *pts), index._functional(D, C, B, A, *pts))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rt = np.maximum(A + C, B + D) ** (1.0 / p) * np.maximum(A + B, C + D) ** (1.0 / q)
+        ratio = np.where(feas & (rt > 0.0), fg / rt, np.inf)
+    i = int(np.argmin(ratio))
+
+    tracked = [(float(ratio[i]), (float(A[i]), float(B[i]), float(C[i]), float(D[i])))]
+    calls = []
+
+    def polish_obj(x):
+        calls.append(x)
+        a, b, c, d = _claim_entries(claim_id, _fold01_floats(x), pts)
+        if max(a, b, c, d) < 1e-12:
+            return 2.0
+        slack = min(_claim_slacks(claim_id, a, b, c, d, t2p))
+        val = _lower_ratio(a, b, c, d, e, pts)
+        if slack >= -1e-12 and val < tracked[0][0]:
+            tracked[0] = (val, (a, b, c, d))
+        return val + 10.0 * max(0.0, -slack)
+
+    _nelder_mead(polish_obj, [x[i] for x in X], ftol=1e-14)
+
+    best_val, (a, b, c, d) = tracked[0]
+    m = max(a, b, c, d)
+    worst = SignPatternOp(max(a, 0.0) / m, max(b, 0.0) / m, max(c, 0.0) / m, max(d, 0.0) / m)
+    return ClaimRegionReport(
+        claim_id=claim_id,
+        p=p,
+        infimum_found=best_val,
+        target=target,
+        holds=best_val >= target - 1e-7,
+        worst_point=worst,
+        feasibility_slack=min(_claim_slacks(claim_id, *worst.as_tuple(), t2p)),
+        feasible_points=int(feas.sum()),
+        evaluations=len(calls),
+    )
+
+
+class TestClaimGridScoring:
+    """Scoring the feasible points only, on the cached mesh, moves no report bit."""
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "p, force",
+        [(1.2, False), (1.25, False), (1.3, False), (1.4, False), (1.5, False), (1.05, True), (1.16, True),
+         (1.9, True)],
+    )
+    def test_matches_full_grid(self, claim_id, p, force):
+        e = make_exponent(p)
+        for grid_n in (4, 5, 12, 16, 25):
+            rep = verify_claim_region(claim_id, e, grid_n=grid_n, force=force)
+            ref = _full_grid_claim_region(claim_id, e, grid_n)
+            # repr tells 0.0 from -0.0 and round-trips every other float
+            assert rep == ref and repr(rep) == repr(ref)
+
+    @pytest.mark.parametrize("claim_id", [1, 3])
+    @pytest.mark.parametrize("patched", ["_claim_slacks", "_functional"])
+    def test_no_finite_ratio(self, monkeypatch, claim_id, patched):
+        # no feasible grid point, or F = inf on the whole grid: both start the
+        # polish from the mesh's first point at inf (claim 2's polish finds no
+        # feasible point from there; its mesh always holds the feasible
+        # (0, 0, 1, 1))
+        original = getattr(index, patched)
+
+        def on_the_grid(*args):
+            out = original(*args)
+            if not isinstance(args[1], np.ndarray):
+                return out
+            if patched == "_functional":
+                return np.full_like(out, np.inf)
+            return out + (np.full_like(args[1], -1.0),)
+
+        monkeypatch.setattr(index, patched, on_the_grid)
+        e = make_exponent(1.3)
+        rep = verify_claim_region(claim_id, e)
+        ref = _full_grid_claim_region(claim_id, e, 12)
+        assert rep.feasible_points == (0 if patched == "_claim_slacks" else ref.feasible_points)
+        assert rep == ref and repr(rep) == repr(ref)
+
+    def test_claim1_keeps_a_sixth_of_the_mesh(self):
+        # claim 1's constraints do not depend on p
+        for p in (1.2, 1.5):
+            assert verify_claim_region(1, make_exponent(p)).feasible_points == 3293
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    def test_counts(self, monkeypatch, claim_id):
+        # F and G are taken on arrays only at the feasible points; the polish
+        # objective is the one function _nelder_mead minimizes
+        sizes, calls = [], []
+        functional, nelder_mead = index._functional, index._nelder_mead
+
+        def recording(a, *rest):
+            if isinstance(a, np.ndarray):
+                sizes.append(a.size)
+            return functional(a, *rest)
+
+        def counting(fn, x0, **kwargs):
+            def counted(x):
+                calls.append(x)
+                return fn(x)
+
+            return nelder_mead(counted, x0, **kwargs)
+
+        monkeypatch.setattr(index, "_functional", recording)
+        monkeypatch.setattr(index, "_nelder_mead", counting)
+        rep = verify_claim_region(claim_id, make_exponent(1.3))
+        assert sizes == [rep.feasible_points] * 2
+        assert rep.evaluations == len(calls) > 0
+
+    def test_verify_row_is_unchanged(self):
+        row = _verify_row((1.3, VERIFY_CLAIM_GRID))
+        assert set(row) == {"p", "lemma_margin", "lemma_ok", "ok"} | {
+            f"claim{c}_{k}" for c in (1, 2, 3) for k in ("gap", "ok")
+        }
+
+
+class TestClaimMesh:
+    @pytest.mark.parametrize("dims", [3, 4])
+    def test_read_only_and_reused(self, dims):
+        mesh = _claim_mesh(7, dims)
+        g = np.linspace(0.0, 1.0, 7)
+        for x, ref in zip(mesh, np.meshgrid(*[g] * dims, indexing="ij"), strict=True):
+            assert not x.flags.writeable
+            assert np.array_equal(x, ref.ravel())
+        with pytest.raises(ValueError):
+            mesh[0][0] = 1.0
+        assert _claim_mesh(7, dims) is mesh
+
+    def test_bounded(self):
+        maxsize = _claim_mesh.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for grid_n in range(4, 4 + maxsize + 2):
+            _claim_mesh(grid_n, 3)
+        assert _claim_mesh.cache_info().currsize == maxsize
+
+    def test_import_builds_nothing(self):
+        assert _fresh_python("import lpindex; print(lpindex.index._claim_mesh.cache_info().currsize)") == "0"
 
 
 class TestRemarkCounterexample:

@@ -107,6 +107,18 @@ class TestOpNorm:
                 assert vec_norm(T.apply(*x), e) == pytest.approx(r.norm, abs=r.tol)
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 6.0])
+    def test_reports_evaluations_and_halfwidth(self, record_maximizer, p):
+        calls = record_maximizer(norms)
+        e = make_exponent(p)
+        for T in random_matrices(20, seed=13) + [REMARK_MATRIX, Mat2(0.0, 0.0, 0.0, 0.0)]:
+            calls.clear()
+            r = op_norm(T, e)
+            (r1, n1), (r2, n2) = calls
+            assert r.evaluations == r1.evaluations + r2.evaluations == n1 + n2
+            assert r.halfwidth == (r1 if r.sign == 1 else r2).tol
+            assert 0.0 < r.halfwidth <= r.tol
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 6.0])
     def test_witness_is_the_searched_point(self, monkeypatch, p):
         # record every chart point the search evaluated, with its chart
         # coordinate s and half, rebuilt here from t, and its value

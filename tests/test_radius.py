@@ -11,6 +11,7 @@ from lpindex import (
     maximize_1d,
     numerical_radius,
     op_norm,
+    radius,
     radius_oracle,
     riesz_thorin_bound,
 )
@@ -63,6 +64,18 @@ class TestNumericalRadius:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             numerical_radius(ROTATION, make_exponent(1.5), tol=-1.0)
+
+    @pytest.mark.parametrize("p", [1.2, 1.7, 4.0])
+    def test_reports_evaluations_and_halfwidth(self, record_maximizer, p):
+        calls = record_maximizer(radius)
+        e = make_exponent(p)
+        for T in random_matrices(20, seed=22) + [ROTATION, Mat2(0.0, 0.0, 0.0, 0.0)]:
+            calls.clear()
+            r = numerical_radius(T, e)
+            (r1, n1), (r2, n2) = calls
+            assert r.evaluations == r1.evaluations + r2.evaluations == n1 + n2
+            assert r.halfwidth == (r1 if r.branch == "first" else r2).tol
+            assert 0.0 < r.halfwidth <= r.tol
 
     def test_attained_branch_reproducible(self):
         from lpindex.radius import branch_integrand
@@ -279,10 +292,17 @@ def _uncached_radius(T, e, tol=1e-10):
     r2 = maximize_1d(branch(conjugate_by_swap(T)), tol)
     value = max(r1.value, r2.value)
     if r2.value > r1.value + tol:
-        branch_name, t_star = "second", r2.argmax
+        branch_name, r = "second", r2
     else:
-        branch_name, t_star = "first", r1.argmax
-    return RadiusResult(value=value, branch=branch_name, t_star=t_star, tol=tol)
+        branch_name, r = "first", r1
+    return RadiusResult(
+        value=value,
+        branch=branch_name,
+        t_star=r.argmax,
+        tol=tol,
+        evaluations=r1.evaluations + r2.evaluations,
+        halfwidth=r.tol,
+    )
 
 
 def _uncached_oracle(T, e):
@@ -320,14 +340,18 @@ def _uncached_op_norm(T, e, tol=1e-10):
         return f
 
     best = None
+    evaluations = 0
     for sign in (1, -1):
         r = maximize_1d(chart(sign), tol)
+        evaluations += r.evaluations
         if best is None or r.value > best[0].value:
             best = (r, sign)
     r, sign = best
     swapped = r.argmax > 0.5
     s = (2.0 - 2.0 * r.argmax if swapped else 2.0 * r.argmax) * scale
-    return OpNormResult(norm=r.value, s=s, sign=sign, swapped=swapped, tol=tol)
+    return OpNormResult(
+        norm=r.value, s=s, sign=sign, swapped=swapped, tol=tol, evaluations=evaluations, halfwidth=r.tol
+    )
 
 
 def _four_chart_op_norm(T, e, tol=1e-10):
