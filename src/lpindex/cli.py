@@ -3,13 +3,14 @@
 Single-point commands and sweep print one JSON object to stdout with a
 settings header of what they used: tol and grid_n (the maximizer's grid
 cells), and for index and sweep also starts, seed and surrogate_n, so every
-output is self-describing; verify prints its table only.  Sweeps write CSV
-or JSON files with all numeric fields at 17 significant digits, which
-round-trips doubles exactly.  The verify battery exits 0 only if every check
-passes.  Grid commands parallelize over p; set LPINDEX_WORKERS to a positive
-integer to pin the process count (default: available parallelism; any other
-value is an error).  runtime_ms is the one diagnostic, non-reproducible
-column.
+output is self-describing; verify prints its table only.  A single-point
+result is the library's result dataclass, field for field, after the
+exponent and matrix the command was given; opnorm nests its witness.  Sweeps
+write CSV or JSON files with all numeric fields at 17 significant digits,
+which round-trips doubles exactly, so identical runs write identical files.
+The verify battery exits 0 only if every check passes.  Grid commands
+parallelize over p; set LPINDEX_WORKERS to a positive integer to pin the
+process count (default: available parallelism; any other value is an error).
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ import json
 import math
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 from .core import DEFAULT_GRID_N, Mat2, make_exponent
 from .critical import compute_mp, lemma21_bounds
-from .index import _SURROGATE_N, estimate_index, remark_counterexample, verify_claim_region
+from .index import SURROGATE_N, estimate_index, remark_counterexample, verify_claim_region
 from .norms import op_norm
 from .radius import numerical_radius
 
 DEFAULTS = {"tol": 1e-10, "starts": 64, "seed": 0}
 
-SWEEP_COLUMNS = ("p", "q", "t0", "mp", "lower_bound", "index_estimate", "gap", "runtime_ms")
+SWEEP_COLUMNS = ("p", "q", "t0", "mp", "lower_bound", "index_estimate", "gap")
 
 VERIFY_CLAIM_GRID = 12
 
@@ -91,18 +92,7 @@ def _fail(msg: str) -> int:
 def cmd_mp(args) -> int:
     e = make_exponent(args.p)
     cp = compute_mp(e, tol=args.tol)
-    _print_json(
-        "mp",
-        _settings(args.tol),
-        {
-            "p": e.p,
-            "q": e.q,
-            "t0": cp.t0,
-            "mp": cp.mp,
-            "derivative_residual": cp.derivative_residual,
-            "degenerate": cp.degenerate,
-        },
-    )
+    _print_json("mp", _settings(args.tol), {"p": e.p, "q": e.q, **asdict(cp)})
     return 0
 
 
@@ -110,20 +100,7 @@ def cmd_radius(args) -> int:
     e = make_exponent(args.p)
     T = Mat2(args.a, args.b, args.c, args.d)
     r = numerical_radius(T, e, tol=args.tol)
-    _print_json(
-        "radius",
-        _settings(args.tol),
-        {
-            "p": e.p,
-            "matrix": {"a": T.a, "b": T.b, "c": T.c, "d": T.d},
-            "value": r.value,
-            "branch": r.branch,
-            "t_star": r.t_star,
-            "tol": r.tol,
-            "evaluations": r.evaluations,
-            "halfwidth": r.halfwidth,
-        },
-    )
+    _print_json("radius", _settings(args.tol), {"p": e.p, "matrix": asdict(T), **asdict(r)})
     return 0
 
 
@@ -137,7 +114,7 @@ def cmd_opnorm(args) -> int:
         _settings(args.tol),
         {
             "p": e.p,
-            "matrix": {"a": T.a, "b": T.b, "c": T.c, "d": T.d},
+            "matrix": asdict(T),
             "norm": r.norm,
             "witness": {"s": r.s, "sign": r.sign, "swapped": r.swapped, "x1": x1, "x2": x2},
             "tol": r.tol,
@@ -151,38 +128,14 @@ def cmd_opnorm(args) -> int:
 def cmd_index(args) -> int:
     e = make_exponent(args.p)
     est = estimate_index(e, starts=args.starts, seed=args.seed, tol=args.tol)
-    m = est.minimizer
-    _print_json(
-        "index",
-        _settings(args.tol, starts=args.starts, seed=args.seed, surrogate_n=_SURROGATE_N),
-        {
-            "p": e.p,
-            "value": est.value,
-            "mp": est.mp,
-            "gap": est.gap,
-            "minimizer": {"a": m.a, "b": m.b, "c": m.c, "d": m.d},
-            "starts": est.starts,
-            "converged": est.converged,
-            "top3_spread": est.top3_spread,
-            "near_best": est.near_best,
-        },
-    )
+    settings = _settings(args.tol, starts=args.starts, seed=args.seed, surrogate_n=SURROGATE_N)
+    _print_json("index", settings, asdict(est))
     return 0
 
 
 def cmd_counterexample(args) -> int:
     rec = remark_counterexample(args.p)
-    _print_json(
-        "counterexample",
-        _settings(DEFAULTS["tol"]),
-        {
-            "p": rec.p,
-            "t0": rec.t0,
-            "mp": rec.mp,
-            "ratio": rec.ratio,
-            "is_below": rec.is_below,
-        },
-    )
+    _print_json("counterexample", _settings(DEFAULTS["tol"]), asdict(rec))
     return 0
 
 
@@ -226,7 +179,6 @@ def cmd_verify(args) -> int:
 
 def _sweep_row(item) -> dict:
     p, starts, seed, tol = item
-    t_begin = time.perf_counter()
     e = make_exponent(p)
     cp = compute_mp(e, tol=tol)
     est = estimate_index(e, starts=starts, seed=seed, tol=tol)
@@ -239,7 +191,6 @@ def _sweep_row(item) -> dict:
         "lower_bound": lower,
         "index_estimate": est.value,
         "gap": est.gap,
-        "runtime_ms": (time.perf_counter() - t_begin) * 1e3,
     }
 
 
@@ -280,7 +231,7 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         return _fail(f"cannot write {out}: {exc}")
     max_gap = max(abs(row["gap"]) for row in rows)
-    settings = _settings(args.tol, starts=args.starts, seed=args.seed, surrogate_n=_SURROGATE_N)
+    settings = _settings(args.tol, starts=args.starts, seed=args.seed, surrogate_n=SURROGATE_N)
     print(
         json.dumps(
             {

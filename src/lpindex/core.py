@@ -235,14 +235,24 @@ def _prescan(objective: Callable):
     )
 
 
-def _refine(objective: Callable, best_t, best_y, a, b, tol: float) -> BracketedMax:
-    """Re-grid _prescan's brackets together until their half-width is at most tol.
+def maximize_1d(objective: Callable, tol: float) -> BracketedMax:
+    """Maximize a vectorized real objective on [0, 1].
 
-    Only the point block of each step is a numpy array; the one or two
-    brackets and their best points are Python floats, updated in place in
-    _prescan's lists, because on two-element arrays numpy's fixed cost per call
-    outweighs the arithmetic.  The evaluation count includes the pre-scan's.
+    The objective is called on numpy arrays (1-d for the pre-scan, 2-d for the
+    refinement) and must return an array of the same shape.  The pre-scan
+    grid is fixed: DEFAULT_GRID_N + 1 equispaced points plus geometric points
+    inside the two end cells.  The two best grid local maxima (two, which
+    guards against near-tied or narrow peaks) are bracketed by their grid
+    neighbours, and both brackets are re-gridded together until their
+    half-width is at most tol.  A bracket starts two grid cells wide, so a tol
+    of at least one cell, 1/DEFAULT_GRID_N, returns the grid argmax unrefined.
+    The returned value is never below the best grid value, and the evaluation
+    count includes the pre-scan's.  Deterministic: identical inputs give
+    identical outputs.  Non-finite objective values raise FloatingPointError.
     """
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    best_t, best_y, a, b = _prescan(objective)
     evals = _GRID.size
     w = [hi - lo for lo, hi in zip(a, b)]
     # every bracket steps while any one is wider than 2 tol: a bracket stopped
@@ -267,23 +277,3 @@ def _refine(objective: Callable, best_t, best_y, a, b, tol: float) -> BracketedM
 
     k = max(range(len(best_y)), key=best_y.__getitem__)  # the first on ties
     return BracketedMax(value=best_y[k], argmax=best_t[k], tol=w[k] / 2.0, evaluations=evals)
-
-
-def maximize_1d(objective: Callable, tol: float) -> BracketedMax:
-    """Maximize a vectorized real objective on [0, 1].
-
-    The objective is called on numpy arrays (1-d for the pre-scan, 2-d for the
-    refinement) and must return an array of the same shape.  The pre-scan
-    grid is fixed: DEFAULT_GRID_N + 1 equispaced points plus geometric points
-    inside the two end cells.  The two best grid local maxima (two, which
-    guards against near-tied or narrow peaks) are bracketed by their grid
-    neighbours, and both brackets are re-gridded together until their
-    half-width is at most tol.  A bracket starts two grid cells wide, so a tol
-    of at least one cell, 1/DEFAULT_GRID_N, returns the grid argmax unrefined.
-    The returned value is never below the best grid value.  Deterministic:
-    identical inputs give identical outputs.  Non-finite objective values
-    raise FloatingPointError.
-    """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    return _refine(objective, *_prescan(objective), tol)

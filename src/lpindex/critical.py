@@ -1,7 +1,7 @@
 """Critical point of max_t |t^(p-1) - t| / (1 + t^p) and a float check of its bracket.
 
-compute_mp finds the interior maximizer t0 and the maximum value; the grid
-pre-scan localizes the critical point and a bisection on the closed-form
+compute_mp finds the interior maximizer t0 and the maximum value; maximize_1d's
+grid scan localizes the critical point and a bisection on the closed-form
 derivative polishes it to machine precision.  lemma21_bounds evaluates the
 bracketing inequalities
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID_N, Exponent, _prescan, _refine
+from .core import DEFAULT_GRID_N, Exponent, maximize_1d
 
 _EPS = sys.float_info.epsilon
 
@@ -91,13 +91,13 @@ def phi_derivative(t: float, e: Exponent) -> float:
 def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
     """Maximize |t^(p-1) - t|/(1 + t^p) over [0, 1].
 
-    The shared maximizer's grid pre-scan localizes the argmax to one cell, and
-    bisection on the sign of the closed-form derivative polishes it wherever a
-    sign change brackets that cell.  Where none does, or the bisected root
-    trails the grid's best value by more than rounding noise, the maximizer's
-    refinement of that same pre-scan to tol gives the result instead (that of
-    maximize_1d at tol, with one grid scan in all).  p = 2 is an explicit
-    degenerate branch (the numerator vanishes identically).
+    maximize_1d at a one-cell tol localizes the argmax to a grid cell without
+    refining it, and bisection on the sign of the closed-form derivative
+    polishes it wherever a sign change brackets that cell.  Where none does,
+    or the bisected root trails the grid's best value by more than rounding
+    noise, maximize_1d at tol gives the result instead; that fallback scans
+    the grid again.  p = 2 is an explicit degenerate branch (the numerator
+    vanishes identically).
 
     The last result is cached, so the several calls that one verify or sweep
     row makes for its exponent compute it once; rows never share an exponent,
@@ -112,11 +112,10 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
 
     sgn = 1.0 if p < 2.0 else -1.0
     f = lambda t: objective(t, e)
-    # the grid argmax (best_t, best_y of the best peak); the bisection below
-    # polishes it, and the pre-scan's brackets refined to tol are the fallback
-    scan = _prescan(f)
-    t0, mp = scan[0][0], scan[1][0]
+    # a one-cell tol returns the grid argmax unrefined; the bisection below polishes it
     h = 1.0 / DEFAULT_GRID_N
+    grid_best = maximize_1d(f, h)
+    t0, mp = grid_best.argmax, grid_best.value
 
     # The derivative blows up as t -> 0+ for p < 2, so the bisection bracket
     # starts from the grid cell, clear of the singular endpoints.
@@ -139,7 +138,7 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
             resid = sgn * phi_derivative(t_ref, e)
             return CriticalPoint(p=p, t0=t_ref, mp=v_ref, derivative_residual=resid, degenerate=False)
 
-    r = _refine(f, *scan, tol)
+    r = maximize_1d(f, tol)
     t0, mp = r.argmax, r.value
     resid = sgn * phi_derivative(t0, e) if 0.0 < t0 < 1.0 else math.nan
     return CriticalPoint(p=p, t0=t0, mp=mp, derivative_residual=resid, degenerate=False)

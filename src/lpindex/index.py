@@ -39,7 +39,7 @@ _CLAIM_RANGES = {1: (1.0, 1.5), 2: (1.0, 1.5), 3: (1.2, 1.5)}
 REMARK_ENTRIES = (0.0487295, 13.639181, 15.0, 1.0)
 
 # Grid intervals of the index surrogate on t in [0, 1]
-_SURROGATE_N = 256
+SURROGATE_N = 256
 
 # Nelder-Mead initial simplex edge, iteration cap and default stopping spread
 _NM_STEP = 0.05
@@ -81,9 +81,9 @@ class IndexEstimate:
 
     p: float
     value: float
-    minimizer: Mat2
     mp: float
     gap: float
+    minimizer: Mat2
     starts: int
     converged: bool
     top3_spread: float | None
@@ -388,7 +388,7 @@ class _RatioSearch:
     def __init__(self, e: Exponent):
         p = e.p
         self.p = p
-        t = np.linspace(0.0, 1.0, _SURROGATE_N + 1)
+        t = np.linspace(0.0, 1.0, SURROGATE_N + 1)
         pw = SpherePowers(t, p)
         self.t, self.tp, self.tp1 = t, pw.tp, pw.tp1
         self.u1, self.u2 = pw.chart

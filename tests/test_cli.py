@@ -1,13 +1,23 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from lpindex import Mat2, critical, estimate_index, make_exponent, numerical_radius, op_norm
+from lpindex import (
+    Mat2,
+    compute_mp,
+    critical,
+    estimate_index,
+    make_exponent,
+    numerical_radius,
+    op_norm,
+    remark_counterexample,
+)
 from lpindex.cli import SWEEP_COLUMNS, VERIFY_CLAIM_GRID, _fmt17, _sweep_row, _verify_row, main
 from lpindex.core import _GRID
-from lpindex.index import _SURROGATE_N
+from lpindex.index import SURROGATE_N
 
 
 @pytest.fixture(autouse=True)
@@ -124,7 +134,7 @@ class TestIndex:
 
     def test_settings_header(self, capsys):
         doc = run_json(capsys, "index", "2", "--starts", "2", "--seed", "3")
-        settings = {"tol": 1e-10, "grid_n": 4096, "starts": 2, "seed": 3, "surrogate_n": _SURROGATE_N}
+        settings = {"tol": 1e-10, "grid_n": 4096, "starts": 2, "seed": 3, "surrogate_n": SURROGATE_N}
         assert doc["settings"] == settings
 
 
@@ -150,6 +160,36 @@ class TestCounterexample:
     def test_settings_header(self, capsys):
         # the remark is a fixed matrix: no starts, no seed
         assert run_json(capsys, "counterexample")["settings"] == {"tol": 1e-10, "grid_n": 4096}
+
+
+def _expected_mp():
+    e = make_exponent(1.16)
+    return {"p": e.p, "q": e.q, **asdict(compute_mp(e, tol=1e-10))}
+
+
+def _expected_radius():
+    T = Mat2(1.0, 2.0, 3.0, 4.0)
+    r = numerical_radius(T, make_exponent(1.3), tol=1e-8)
+    return {"p": 1.3, "matrix": asdict(T), **asdict(r)}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["mp", "1.16"], _expected_mp),
+        (["radius", "1.3", "1", "2", "3", "4", "--tol", "1e-8"], _expected_radius),
+        (["index", "3", "--starts", "8"], lambda: asdict(estimate_index(make_exponent(3.0), starts=8, seed=0))),
+        (["counterexample"], lambda: asdict(remark_counterexample(1.16))),
+    ],
+    ids=["mp", "radius", "index", "counterexample"],
+)
+def test_result_is_the_library_dataclass(capsys, argv, expected):
+    res = run_json(capsys, *argv)["result"]
+    want = expected()
+    assert res == want
+    # json.dumps writes keys in order and floats by repr, which round-trips
+    # doubles, so equal text means the same key order and the same bits
+    assert json.dumps(res) == json.dumps(want)
 
 
 @pytest.mark.parametrize(
@@ -232,9 +272,21 @@ class TestSweep:
         p = float(fields[0])
         row = _sweep_row((p, 4, 0, 1e-10))
         for col, field in zip(SWEEP_COLUMNS, fields):
-            if col == "runtime_ms":
-                continue
             assert _fmt17(row[col]) == field
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_identical_runs_write_identical_files(self, capsys, tmp_path, fmt):
+        outs = [tmp_path / f"run{i}.{fmt}" for i in (1, 2)]
+        for out_path in outs:
+            run_json(
+                capsys,
+                "sweep",
+                "--pmin", "1.3", "--pmax", "3", "--n", "2",
+                "--starts", "2",
+                "--format", fmt,
+                "--out", str(out_path),
+            )
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.json"
@@ -268,7 +320,7 @@ class TestSweep:
             "--starts", "2", "--seed", "5",
             "--out", str(tmp_path / "sweep.csv"),
         )
-        settings = {"tol": 1e-10, "grid_n": 4096, "starts": 2, "seed": 5, "surrogate_n": _SURROGATE_N}
+        settings = {"tol": 1e-10, "grid_n": 4096, "starts": 2, "seed": 5, "surrogate_n": SURROGATE_N}
         assert doc["settings"] == settings
 
     def test_n_below_two_exits_2(self, capsys):

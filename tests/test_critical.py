@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpindex import compute_mp, critical, lemma21_bounds, make_exponent, phi_derivative
-from lpindex.core import _GRID, maximize_1d
+from lpindex import compute_mp, lemma21_bounds, make_exponent, phi_derivative
+from lpindex.core import maximize_1d
 from lpindex.critical import objective
 
 
@@ -64,21 +64,6 @@ class TestComputeMp:
         r = maximize_1d(lambda t: objective(t, e), 1e-10)
         cp = compute_mp(e, tol=1e-10)
         assert (cp.t0, cp.mp) == (r.argmax, r.value)
-
-    @pytest.mark.parametrize("p", [1.0 + 1e-12, 2.0 - 1e-9, 2.0 + 1e-9])
-    def test_fallback_reuses_the_prescan(self, monkeypatch, p):
-        # these exponents take the refined fallback (test_refined_fallback),
-        # which refines the pre-scan's brackets: one grid evaluation in all
-        sizes = []
-
-        def counting(t, e):
-            sizes.append(np.shape(t))
-            return objective(t, e)
-
-        monkeypatch.setattr(critical, "objective", counting)
-        compute_mp.cache_clear()
-        compute_mp(make_exponent(p), tol=1e-10)
-        assert sizes.count(_GRID.shape) == 1
 
     def test_value_in_unit_interval(self):
         for p in (1.01, 1.5, 2.5, 15.0):
