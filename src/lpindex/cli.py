@@ -5,12 +5,12 @@ settings header of what they used: tol and grid_n (the maximizer's grid
 cells), and for index and sweep also starts, seed and surrogate_n, so every
 output is self-describing; verify prints its table only.  A single-point
 result is the library's result dataclass, field for field, after the
-exponent and matrix the command was given; opnorm nests its witness.  Sweeps
-write CSV or JSON files with all numeric fields at 17 significant digits,
-which round-trips doubles exactly, so identical runs write identical files.
-The verify battery exits 0 only if every check passes.  Grid commands
-parallelize over p; set LPINDEX_WORKERS to a positive integer to pin the
-process count (default: available parallelism; any other value is an error).
+exponent and matrix the command was given.  Sweeps write CSV or JSON files
+with all numeric fields at 17 significant digits, which round-trips doubles
+exactly, so identical runs write identical files.  The verify battery exits 0
+only if every check passes.  Grid commands parallelize over p; set
+LPINDEX_WORKERS to a positive integer to pin the process count (default:
+available parallelism; any other value is an error).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 from .core import DEFAULT_GRID_N, Mat2, make_exponent
-from .critical import compute_mp, lemma21_bounds
+from .critical import HYPOTHESIS_RANGE, RANGE_BAND, compute_mp, lemma21_bounds
 from .index import SURROGATE_N, estimate_index, remark_counterexample, verify_claim_region
 from .norms import op_norm
 from .radius import numerical_radius
@@ -96,32 +96,11 @@ def cmd_mp(args) -> int:
     return 0
 
 
-def cmd_radius(args) -> int:
+def cmd_operator(args) -> int:
     e = make_exponent(args.p)
     T = Mat2(args.a, args.b, args.c, args.d)
-    r = numerical_radius(T, e, tol=args.tol)
-    _print_json("radius", _settings(args.tol), {"p": e.p, "matrix": asdict(T), **asdict(r)})
-    return 0
-
-
-def cmd_opnorm(args) -> int:
-    e = make_exponent(args.p)
-    T = Mat2(args.a, args.b, args.c, args.d)
-    r = op_norm(T, e, tol=args.tol)
-    x1, x2 = r.witness(e)
-    _print_json(
-        "opnorm",
-        _settings(args.tol),
-        {
-            "p": e.p,
-            "matrix": asdict(T),
-            "norm": r.norm,
-            "witness": {"s": r.s, "sign": r.sign, "swapped": r.swapped, "x1": x1, "x2": x2},
-            "tol": r.tol,
-            "evaluations": r.evaluations,
-            "halfwidth": r.halfwidth,
-        },
-    )
+    r = args.compute(T, e, tol=args.tol)
+    _print_json(args.command, _settings(args.tol), {"p": e.p, "matrix": asdict(T), **asdict(r)})
     return 0
 
 
@@ -139,8 +118,7 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
-def _verify_row(item) -> dict:
-    p, claim_grid = item
+def _verify_row(p: float) -> dict:
     e = make_exponent(p)
     rep = lemma21_bounds(e)
     row = {
@@ -149,7 +127,7 @@ def _verify_row(item) -> dict:
         "lemma_ok": rep.all_hold,
     }
     for cid in (1, 2, 3):
-        cr = verify_claim_region(cid, e, grid_n=claim_grid)
+        cr = verify_claim_region(cid, e, grid_n=VERIFY_CLAIM_GRID)
         row[f"claim{cid}_gap"] = cr.infimum_found - cr.target
         row[f"claim{cid}_ok"] = cr.holds
     row["ok"] = row["lemma_ok"] and all(row[f"claim{cid}_ok"] for cid in (1, 2, 3))
@@ -157,13 +135,13 @@ def _verify_row(item) -> dict:
 
 
 def cmd_verify(args) -> int:
-    eps = 1e-9
-    if not (1.2 - eps <= args.pmin <= args.pmax <= 1.5 + eps):
+    lo, hi = HYPOTHESIS_RANGE
+    if not (lo - RANGE_BAND <= args.pmin <= args.pmax <= hi + RANGE_BAND):
         return _fail(f"verify needs 6/5 <= pmin <= pmax <= 3/2, got [{args.pmin}, {args.pmax}]")
     if args.n < 1:
         return _fail(f"n must be >= 1, got {args.n}")
     ps = _grid(args.pmin, args.pmax, args.n)
-    rows = _pmap(_verify_row, [(p, VERIFY_CLAIM_GRID) for p in ps])
+    rows = _pmap(_verify_row, ps)
     n_pass = 0
     for row in rows:
         status = "ok" if row["ok"] else "FAIL"
@@ -262,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mp.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     p_mp.set_defaults(fn=cmd_mp)
 
-    for name, fn, hlp in (
-        ("radius", cmd_radius, "numerical radius of (a b; c d)"),
-        ("opnorm", cmd_opnorm, "operator norm of (a b; c d)"),
+    for name, compute, hlp in (
+        ("radius", numerical_radius, "numerical radius of (a b; c d)"),
+        ("opnorm", op_norm, "operator norm of (a b; c d)"),
     ):
         sp = sub.add_parser(name, help=hlp)
         sp.add_argument("p", type=float)
@@ -273,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("c", type=float)
         sp.add_argument("d", type=float)
         sp.add_argument("--tol", type=float, default=DEFAULTS["tol"])
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=cmd_operator, compute=compute)
 
     p_idx = sub.add_parser("index", help="estimate the numerical index at one exponent")
     p_idx.add_argument("p", type=float)

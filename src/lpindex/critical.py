@@ -30,9 +30,10 @@ _EPS = sys.float_info.epsilon
 
 SAFETY_MARGIN = 1e-9
 
-# hypothesis range of the bracketing inequalities: p in [6/5, 3/2]
-_HYP_LO = 1.2
-_HYP_HI = 1.5
+# hypothesis range of the bracketing inequalities, p in [6/5, 3/2], and the
+# rounding band that every check of an exponent against a range allows
+HYPOTHESIS_RANGE = (1.2, 1.5)
+RANGE_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,8 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
 
 def _real_pow(base: float, expo: float) -> float:
     """base**expo as a float, nan outside the real domain."""
-    try:
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            return float(np.float64(base) ** np.float64(expo))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        return math.nan
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return float(np.float64(base) ** np.float64(expo))
 
 
 def lemma21_bounds(e: Exponent) -> BoundsReport:
@@ -161,7 +159,8 @@ def lemma21_bounds(e: Exponent) -> BoundsReport:
     which case all_hold is False and margin is nan).
     """
     p, q = e.p, e.q
-    in_hyp = (_HYP_LO - 1e-12) <= p <= (_HYP_HI + 1e-12)
+    lo, hi = HYPOTHESIS_RANGE
+    in_hyp = lo - RANGE_BAND <= p <= hi + RANGE_BAND
 
     lower = _real_pow((2.0 * p - 2.0) / (4.0 - p), 1.0 / (2.0 - p)) if p != 2.0 else math.nan
     upper = _real_pow((p - 1.0) / (2.0 * p + 1.0), 1.0 / p)

@@ -30,11 +30,11 @@ from operator import add
 import numpy as np
 
 from .core import Exponent, Mat2, SpherePowers, make_exponent
-from .critical import compute_mp
+from .critical import HYPOTHESIS_RANGE, RANGE_BAND, compute_mp
 from .norms import op_norm
 from .radius import numerical_radius
 
-_CLAIM_RANGES = {1: (1.0, 1.5), 2: (1.0, 1.5), 3: (1.2, 1.5)}
+_CLAIM_RANGES = {1: (1.0, HYPOTHESIS_RANGE[1]), 2: (1.0, HYPOTHESIS_RANGE[1]), 3: HYPOTHESIS_RANGE}
 
 REMARK_ENTRIES = (0.0487295, 13.639181, 15.0, 1.0)
 
@@ -518,7 +518,7 @@ def verify_claim_region(
         raise ValueError(f"grid_n must be >= 4, got {grid_n}")
     lo, hi = _CLAIM_RANGES[claim_id]
     p, q = e.p, e.q
-    if not force and not (lo - 1e-12 <= p <= hi + 1e-12 and p > 1.0):
+    if not force and not (lo - RANGE_BAND <= p <= hi + RANGE_BAND and p > 1.0):
         raise ValueError(f"claim {claim_id} requires p in [{lo}, {hi}], got {p!r}")
 
     pts = t0, tp, tp1 = _t0_powers(e, compute_mp(e).t0)

@@ -22,32 +22,38 @@ from .core import Exponent, Mat2, maximize_1d, sphere_powers
 
 
 @dataclass(frozen=True)
-class OpNormResult:
-    """Operator norm plus the witness point on the unit sphere.
+class Witness:
+    """The point x = (x1, x2) of the l_p unit sphere where op_norm's search peaked.
 
     The search's argmax t* on the quadrant chart is kept as the chart's
     coordinate s (2t* 2^(-1/p), or (2 - 2t*) 2^(-1/p) past the diagonal),
-    swapped = t* > 1/2, and the sign of the second coordinate.  The witness
-    is x = (s, sign*(1-s^p)^(1/p)), or ((1-s^p)^(1/p), sign*s) when swapped
-    is True.  Its arc coordinate is the numpy SpherePowers arc the search
-    evaluated, not libm's pow, so the witness is the searched point bit for
-    bit.  evaluations counts the objective points of both sign maximizations;
+    swapped = t* > 1/2, and the sign of the second coordinate: x is
+    (s, sign*(1-s^p)^(1/p)), or ((1-s^p)^(1/p), sign*s) when swapped is True.
+    x1 and x2 are the chart point the search evaluated; its arc coordinate is
+    the numpy SpherePowers arc, not libm's pow, so the witness is the searched
+    point bit for bit.
+    """
+
+    s: float
+    sign: int
+    swapped: bool
+    x1: float
+    x2: float
+
+
+@dataclass(frozen=True)
+class OpNormResult:
+    """Operator norm plus the witness point on the unit sphere.
+
+    evaluations counts the objective points of both sign maximizations;
     halfwidth is the reported sign's final bracket half-width.
     """
 
     norm: float
-    s: float
-    sign: int
-    swapped: bool
+    witness: Witness
     tol: float
     evaluations: int
     halfwidth: float
-
-    def witness(self, e: Exponent) -> tuple[float, float]:
-        comp = sphere_powers(np.array([self.s]), e.p).x2.item()
-        if self.swapped:
-            return (comp, self.sign * self.s)
-        return (self.s, self.sign * comp)
 
 
 def vec_norm(x, e: Exponent) -> float:
@@ -113,11 +119,9 @@ def op_norm(T: Mat2, e: Exponent, tol: float = 1e-10) -> OpNormResult:
             best = (r, sign)
     r, sign = best
     swapped = r.argmax > 0.5
-    u, v = sphere_powers(np.array([r.argmax]), e.p).chart
-    s = (v if swapped else u).item()
-    return OpNormResult(
-        norm=r.value, s=s, sign=sign, swapped=swapped, tol=tol, evaluations=evaluations, halfwidth=r.tol
-    )
+    u, v = (c.item() for c in sphere_powers(np.array([r.argmax]), e.p).chart)
+    witness = Witness(s=v if swapped else u, sign=sign, swapped=swapped, x1=u, x2=sign * v)
+    return OpNormResult(norm=r.value, witness=witness, tol=tol, evaluations=evaluations, halfwidth=r.tol)
 
 
 def riesz_thorin_bound(T: Mat2, e: Exponent) -> float:

@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import lpindex
@@ -24,3 +27,20 @@ def test_private_imports_finds_a_private_name(tmp_path):
 def test_modules_import_no_private_names_of_each_other():
     found = {path.name: private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_every_public_name_resolves():
+    assert [name for name in lpindex.__all__ if not hasattr(lpindex, name)] == []
+
+
+def test_dataclasses_are_frozen():
+    # README promises that dataclass results are frozen; __init__ only
+    # re-exports and __main__ runs the CLI when imported
+    modules = [importlib.import_module(f"lpindex.{path.stem}") for path in PACKAGE.glob("[!_]*.py")]
+    thawed = [
+        f"{mod.__name__}.{c.__name__}"
+        for mod in modules
+        for _, c in inspect.getmembers(mod, inspect.isclass)
+        if c.__module__ == mod.__name__ and dataclasses.is_dataclass(c) and not c.__dataclass_params__.frozen
+    ]
+    assert thawed == []

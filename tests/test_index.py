@@ -27,7 +27,7 @@ from lpindex import (
     verify_claim_region,
 )
 from lpindex import index
-from lpindex.cli import VERIFY_CLAIM_GRID, _verify_row
+from lpindex.cli import _verify_row
 from lpindex.index import (
     ClaimRegionReport,
     _claim_entries,
@@ -639,7 +639,7 @@ class TestClaimGridScoring:
         assert rep.evaluations == len(calls) > 0
 
     def test_verify_row_is_unchanged(self):
-        row = _verify_row((1.3, VERIFY_CLAIM_GRID))
+        row = _verify_row(1.3)
         assert set(row) == {"p", "lemma_margin", "lemma_ok", "ok"} | {
             f"claim{c}_{k}" for c in (1, 2, 3) for k in ("gap", "ok")
         }

@@ -102,7 +102,7 @@ class TestOpNorm:
             e = make_exponent(p)
             for T in random_matrices(20, seed=5):
                 r = op_norm(T, e)
-                x = r.witness(e)
+                x = (r.witness.x1, r.witness.x2)
                 assert abs(vec_norm(x, e) - 1.0) <= 8.0 * EPS
                 assert vec_norm(T.apply(*x), e) == pytest.approx(r.norm, abs=r.tol)
 
@@ -115,7 +115,7 @@ class TestOpNorm:
             r = op_norm(T, e)
             (r1, n1), (r2, n2) = calls
             assert r.evaluations == r1.evaluations + r2.evaluations == n1 + n2
-            assert r.halfwidth == (r1 if r.sign == 1 else r2).tol
+            assert r.halfwidth == (r1 if r.witness.sign == 1 else r2).tol
             assert 0.0 < r.halfwidth <= r.tol
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 6.0])
@@ -142,13 +142,14 @@ class TestOpNorm:
         for T in random_matrices(50, seed=12):
             searched.clear()
             r = op_norm(T, e)
+            w = r.witness
             found = {
                 (float(x1[at]).hex(), float(x2[at]).hex())
                 for sign, swapped, s, x1, x2, y in searched
-                if sign == r.sign
-                for at in zip(*np.nonzero((swapped == r.swapped) & (s == r.s) & (y == r.norm)))
+                if sign == w.sign
+                for at in zip(*np.nonzero((swapped == w.swapped) & (s == w.s) & (y == r.norm)))
             }
-            x = r.witness(e)
+            x = (w.x1, w.x2)
             assert found == {tuple(c.hex() for c in x)}
             u, v = np.array([x[0]]), np.array([x[1]])
             assert _lp_pair(T.a * u + T.b * v, T.c * u + T.d * v, p).item() == r.norm

@@ -15,7 +15,7 @@ from lpindex import (
     radius_oracle,
     riesz_thorin_bound,
 )
-from lpindex.norms import OpNormResult
+from lpindex.norms import OpNormResult, Witness
 from lpindex.radius import RadiusResult
 
 ROTATION = Mat2(0, 1, -1, 0)
@@ -349,9 +349,11 @@ def _uncached_op_norm(T, e, tol=1e-10):
     r, sign = best
     swapped = r.argmax > 0.5
     s = (2.0 - 2.0 * r.argmax if swapped else 2.0 * r.argmax) * scale
-    return OpNormResult(
-        norm=r.value, s=s, sign=sign, swapped=swapped, tol=tol, evaluations=evaluations, halfwidth=r.tol
-    )
+    # the arc on a one-element array, as the search evaluates it, not libm's pow
+    comp = (np.maximum(1.0 - np.array([s]) ** p, 0.0) ** (1.0 / p)).item()
+    x1, x2 = (comp, sign * s) if swapped else (s, sign * comp)
+    witness = Witness(s=s, sign=sign, swapped=swapped, x1=x1, x2=x2)
+    return OpNormResult(norm=r.value, witness=witness, tol=tol, evaluations=evaluations, halfwidth=r.tol)
 
 
 def _four_chart_op_norm(T, e, tol=1e-10):
