@@ -8,7 +8,9 @@ result is the library's result dataclass, field for field, after the
 exponent and matrix the command was given.  Sweeps write CSV or JSON files
 with all numeric fields at 17 significant digits, which round-trips doubles
 exactly, so identical runs write identical files.  The verify battery exits 0
-only if every check passes.  Grid commands parallelize over p; set
+only if every check passes; invalid arguments exit 2, and a stdout closed
+before the output is written (a reader such as `head` that stops early) exits
+141, 128 + SIGPIPE as a shell reports it.  Grid commands parallelize over p; set
 LPINDEX_WORKERS to a positive integer to pin the process count (default:
 available parallelism; any other value is an error).
 """
@@ -34,6 +36,8 @@ DEFAULTS = {"tol": 1e-10, "starts": 64, "seed": 0}
 SWEEP_COLUMNS = ("p", "q", "t0", "mp", "lower_bound", "index_estimate", "gap")
 
 VERIFY_CLAIM_GRID = 12
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _fmt17(x) -> str:
@@ -293,7 +297,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull so that the flush at
+        # exit cannot fail again (Python's docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

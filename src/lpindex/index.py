@@ -163,29 +163,29 @@ def alpha_ratio(T: SignPatternOp, e: Exponent, t0: float) -> float:
     return _lower_ratio(*T.as_tuple(), e, _t0_powers(e, t0))
 
 
-def _claim_entries(claim_id: int, x, pts):
-    """Entries (a, b, c, d) at the search coordinates x of one claim, floats or arrays.
+def _claim3_entries(x, pts):
+    """Entries (a, b, c, d) at claim 3's search coordinates x = (a, c, d), floats or arrays.
 
-    Claims 1-2 search the entries themselves; claim 3 searches (a, c, d) on the
-    F = G manifold b = c - (d - a) kappa, kappa = (1 + t0^p)/(t0^(p-1) + t0),
-    with pts = _t0_powers(e, t0).
+    Claims 1-2 search the entries themselves; claim 3 searches the F = G
+    manifold b = c - (d - a) kappa, kappa = (1 + t0^p)/(t0^(p-1) + t0), with
+    pts = _t0_powers(e, t0).
     """
-    if claim_id == 3:
-        t0, tp, tp1 = pts
-        a, c, d = x
-        return a, c - (d - a) * ((1.0 + tp) / (tp1 + t0)), c, d
-    return tuple(x)
+    t0, tp, tp1 = pts
+    a, c, d = x
+    return a, c - (d - a) * ((1.0 + tp) / (tp1 + t0)), c, d
 
 
-def _claim_slacks(claim_id: int, a, b, c, d, t2p: float) -> tuple:
+def _claim_slacks(claim_id: int, a, b, c, d, t2p: float | None) -> tuple:
     """Slacks of the constraints that claim_id's search enforces, t2p = t0^(2-p).
 
-    A point is feasible when every slack is >= 0.
+    A point is feasible when every slack is >= 0.  Claims 1-2 list the slacks
+    that do not depend on p first; t2p=None returns only those.
     """
     if claim_id == 1:
         return (b - c, (a + c) - (b + d))
     if claim_id == 2:
-        return (d - a, (a + c) - (b + d), c * t2p - (c + a - d))
+        free = (d - a, (a + c) - (b + d))
+        return free if t2p is None else free + (c * t2p - (c + a - d),)
     return (d - a, b - c * t2p, b)
 
 
@@ -194,7 +194,7 @@ def claim3_balance_b(T: SignPatternOp, e: Exponent, t0: float) -> float:
 
     b = c - (d - a) (1 + t0^p) / (t0^(p-1) + t0).
     """
-    return _claim_entries(3, (T.a, T.c, T.d), _t0_powers(e, t0))[1]
+    return _claim3_entries((T.a, T.c, T.d), _t0_powers(e, t0))[1]
 
 
 @lru_cache(maxsize=4)
@@ -207,19 +207,85 @@ def _claim_mesh(grid_n: int, dims: int) -> tuple[np.ndarray, ...]:
     return mesh
 
 
+@lru_cache(maxsize=4)
+def _claim_free_points(claim_id: int, grid_n: int) -> np.ndarray:
+    """Indices of the points of _claim_mesh(grid_n, 4) that are nonzero and meet claim_id's
+    p-independent constraints (claims 1-2 only), ascending and read-only."""
+    A, B, C, D = _claim_mesh(grid_n, 4)
+    # on finite entries this is max(A, B, C, D) > 0 in bool temporaries
+    free = (A > 0.0) | (B > 0.0) | (C > 0.0) | (D > 0.0)
+    for slack in _claim_slacks(claim_id, A, B, C, D, None):
+        free &= slack >= 0.0
+    idx = np.flatnonzero(free)
+    idx.flags.writeable = False
+    return idx
+
+
 def _fold01(x: np.ndarray) -> np.ndarray:
     """Reflect coordinates into [0, 1] (triangular wave with period 2)."""
     y = np.abs(np.asarray(x, dtype=float)) % 2.0
     return np.where(y > 1.0, 2.0 - y, y)
 
 
-def _fold01_floats(x) -> list[float]:
-    """_fold01 of a sequence of Python floats, bit for bit, as a list of floats."""
-    out = []
-    for v in x:
-        y = abs(v) % 2.0
-        out.append(2.0 - y if y > 1.0 else y)
-    return out
+def _claim_polish(claim_id: int, e: Exponent, pts: tuple[float, float, float], t2p: float, start: tuple):
+    """claim_id's penalized polish objective on Python floats, bound to one exponent, and its tracker.
+
+    objective(x) folds the search point x into the unit cube as _fold01 does,
+    takes the claim's entries (_claim3_entries) and least slack (_claim_slacks)
+    there, and returns 2.0 where every entry is below 1e-12, else the ratio
+    (_lower_ratio) plus 10 times the constraint violation.  Among the points
+    with slack >= -1e-12 it keeps the least ratio below start = (ratio,
+    entries); best() returns that (ratio, entries) and the number of calls.
+
+    The objective restates those float formulas with their IEEE operations in
+    their order, so it matches the array path bit for bit; the tests hold it
+    to a frozen copy of the helpers.  The exponent's constants are taken once
+    here, and max(F, G) is the larger numerator over 1 + t0^p, the same float
+    because division by a positive number is monotone.
+    """
+    t0, tp, tp1 = pts
+    rp, rq, s = 1.0 / e.p, 1.0 / e.q, 1.0 + tp
+    kappa = s / (tp1 + t0)
+    best_val, best_pt = start
+    evaluations = 0
+
+    def score(a, b, c, d, slack):
+        nonlocal evaluations, best_val, best_pt
+        evaluations += 1
+        if a < 1e-12 and b < 1e-12 and c < 1e-12 and d < 1e-12:
+            return 2.0
+        rt = max(a + c, b + d) ** rp * max(a + b, c + d) ** rq
+        if rt > 0.0:
+            val = max(abs(a - d * tp) + abs(b * t0 - c * tp1), abs(d - a * tp) + abs(c * t0 - b * tp1)) / s / rt
+        else:
+            val = math.inf
+        if slack >= -1e-12 and val < best_val:
+            best_val, best_pt = val, (a, b, c, d)
+        return val - 10.0 * slack if slack < 0.0 else val
+
+    # the claims' entries and slacks, each after the fold y = |v| mod 2, then 2 - y where y > 1
+    def claim1(x):
+        a, b, c, d = abs(x[0]) % 2.0, abs(x[1]) % 2.0, abs(x[2]) % 2.0, abs(x[3]) % 2.0
+        a, b = (2.0 - a if a > 1.0 else a), (2.0 - b if b > 1.0 else b)
+        c, d = (2.0 - c if c > 1.0 else c), (2.0 - d if d > 1.0 else d)
+        return score(a, b, c, d, min(b - c, (a + c) - (b + d)))
+
+    def claim2(x):
+        a, b, c, d = abs(x[0]) % 2.0, abs(x[1]) % 2.0, abs(x[2]) % 2.0, abs(x[3]) % 2.0
+        a, b = (2.0 - a if a > 1.0 else a), (2.0 - b if b > 1.0 else b)
+        c, d = (2.0 - c if c > 1.0 else c), (2.0 - d if d > 1.0 else d)
+        return score(a, b, c, d, min(d - a, (a + c) - (b + d), c * t2p - (c + a - d)))
+
+    def claim3(x):
+        a, c, d = abs(x[0]) % 2.0, abs(x[1]) % 2.0, abs(x[2]) % 2.0
+        a, c, d = (2.0 - a if a > 1.0 else a), (2.0 - c if c > 1.0 else c), (2.0 - d if d > 1.0 else d)
+        b = c - (d - a) * kappa
+        return score(a, b, c, d, min(d - a, b - c * t2p, b))
+
+    def best():
+        return best_val, best_pt, evaluations
+
+    return (claim1, claim2, claim3)[claim_id - 1], best
 
 
 def _halton(n: int, seed: int) -> np.ndarray:
@@ -499,8 +565,15 @@ def verify_claim_region(
     Only the feasible mesh points are scored (feasible_points of them); the
     polish starts from the first one with the least ratio, or from the mesh's
     first point when none has a finite ratio.  The p-independent cube mesh is
-    built once per grid_n and kept read-only in a small cache; claim 3's kink
-    traces depend on t0 and are built on each call.
+    built once per grid_n and kept read-only in a small cache, and so are, for
+    claims 1-2, the indices of its nonzero points that meet the claim's
+    p-independent constraints (all of claim 1's; claim 2's d >= a and
+    a + c >= b + d), so claim 2's third slack is taken on those points only.
+    Claim 3's kink traces depend on t0 and are built on each call.  The float
+    polish objective is bound once per call (_claim_polish) and gives the
+    array formulas' values bit for bit.  When neither the grid nor the polish
+    finds a feasible point, infimum_found is inf, holds is False and
+    worst_point is the zero operator.
 
     Each claim has one set of constraints, used by the grid, the polish and the
     report alike; feasibility_slack is their smallest slack at worst_point.
@@ -525,7 +598,7 @@ def verify_claim_region(
     t2p = t0 ** (2.0 - p)
     target = (tp1 - t0) / (1.0 + tp)
 
-    # the grid, in search coordinates
+    # the grid, in search coordinates, and the candidates among its points
     if claim_id == 3:
         A3, C3, D3 = _claim_mesh(grid_n, 3)
         line = np.linspace(0.0, 1.0, grid_n * grid_n + 1)
@@ -535,16 +608,19 @@ def verify_claim_region(
             np.concatenate([C3, np.ones_like(line), line]),
             np.concatenate([D3, line, np.ones_like(line)]),
         )
+        A, B, C, D = _claim3_entries(X, pts)
+        # nonzero operators; on finite entries this is max(A, B, C, D) > 0 in bool temporaries
+        idx = np.flatnonzero((A > 0.0) | (B > 0.0) | (C > 0.0) | (D > 0.0))
     else:
-        X = _claim_mesh(grid_n, 4)
-    A, B, C, D = _claim_entries(claim_id, X, pts)
-    # nonzero operators; on finite entries this is max(A, B, C, D) > 0 in bool temporaries
-    feas = (A > 0.0) | (B > 0.0) | (C > 0.0) | (D > 0.0)
-    for slack in _claim_slacks(claim_id, A, B, C, D, t2p):
+        X = A, B, C, D = _claim_mesh(grid_n, 4)
+        idx = _claim_free_points(claim_id, grid_n)
+    a, b, c, d = A[idx], B[idx], C[idx], D[idx]
+    feas = np.ones(idx.size, dtype=bool)
+    for slack in _claim_slacks(claim_id, a, b, c, d, t2p):
         feas &= slack >= 0.0
     # score the feasible points only; the first least ratio is the grid's argmin
-    idx = np.flatnonzero(feas)
-    a, b, c, d = A[idx], B[idx], C[idx], D[idx]
+    idx = idx[feas]
+    a, b, c, d = a[feas], b[feas], c[feas], d[feas]
     fg = np.maximum(_functional(a, b, c, d, *pts), _functional(d, c, b, a, *pts))
     with np.errstate(invalid="ignore", divide="ignore"):
         rt = np.maximum(a + c, b + d) ** (1.0 / p) * np.maximum(a + b, c + d) ** (1.0 / q)
@@ -556,32 +632,20 @@ def verify_claim_region(
             i, start_val = int(idx[k]), float(ratio[k])
 
     # penalized local polish from the best grid point, tracking feasible evals
-    tracked = [(start_val, (float(A[i]), float(B[i]), float(C[i]), float(D[i])))]
-    evaluations = 0
-
-    def polish_obj(x):
-        nonlocal evaluations
-        evaluations += 1
-        a, b, c, d = _claim_entries(claim_id, _fold01_floats(x), pts)
-        if max(a, b, c, d) < 1e-12:
-            return 2.0
-        slack = min(_claim_slacks(claim_id, a, b, c, d, t2p))
-        val = _lower_ratio(a, b, c, d, e, pts)
-        if slack >= -1e-12 and val < tracked[0][0]:
-            tracked[0] = (val, (a, b, c, d))
-        return val + 10.0 * max(0.0, -slack)
-
+    start = (start_val, (float(A[i]), float(B[i]), float(C[i]), float(D[i])))
+    polish_obj, best = _claim_polish(claim_id, e, pts, t2p, start)
     _nelder_mead(polish_obj, [x[i] for x in X], ftol=1e-14)
 
-    best_val, (a, b, c, d) = tracked[0]
-    m = max(a, b, c, d)
+    best_val, (a, b, c, d), evaluations = best()
+    # the mesh's first point is 0, so m is 0 only when no feasible point was found
+    m = max(a, b, c, d) or 1.0
     worst = SignPatternOp(max(a, 0.0) / m, max(b, 0.0) / m, max(c, 0.0) / m, max(d, 0.0) / m)
     return ClaimRegionReport(
         claim_id=claim_id,
         p=p,
         infimum_found=best_val,
         target=target,
-        holds=best_val >= target - 1e-7,
+        holds=target - 1e-7 <= best_val < math.inf,
         worst_point=worst,
         feasibility_slack=min(_claim_slacks(claim_id, *worst.as_tuple(), t2p)),
         feasible_points=int(idx.size),

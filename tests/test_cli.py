@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpindex
 from lpindex import (
     Mat2,
     cli,
@@ -326,3 +330,27 @@ class TestSweep:
     def test_n_below_two_exits_2(self, capsys):
         assert main(["sweep", "--pmin", "1.3", "--pmax", "1.4", "--n", "1"]) == 2
         capsys.readouterr()
+
+
+def _python_m_lpindex(*argv):
+    src = str(Path(lpindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.Popen(
+        [sys.executable, "-m", "lpindex", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+
+
+class TestEntrypoint:
+    def test_exit_code_and_output(self):
+        proc = _python_m_lpindex("mp", "1.3")
+        out, err = proc.communicate()
+        assert proc.returncode == 0, err
+        assert json.loads(out)["result"]["p"] == 1.3
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # the reader is gone before anything is written, as in `lpindex verify | head -1`
+        with _python_m_lpindex("mp", "1.3") as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,11 @@ from lpindex import index
 from lpindex.cli import _verify_row
 from lpindex.index import (
     ClaimRegionReport,
-    _claim_entries,
+    _claim_free_points,
     _claim_mesh,
+    _claim_polish,
     _claim_slacks,
     _fold01,
-    _fold01_floats,
     _functional,
     _halton,
     _lower_ratio,
@@ -438,6 +439,63 @@ def test_maximizer_leaves_numpy_ma_out():
     assert _fresh_python(code) == "False"
 
 
+# The claim polish's float arithmetic as separate helpers: fold, entries,
+# slacks and ratio.  _claim_polish restates them in one objective bound per
+# call; these frozen copies let the tests compare it with that arithmetic, not
+# with src helpers it may share.
+
+
+def _ref_fold01_floats(x):
+    out = []
+    for v in x:
+        y = abs(v) % 2.0
+        out.append(2.0 - y if y > 1.0 else y)
+    return out
+
+
+def _ref_entries(claim_id, x, pts):
+    if claim_id == 3:
+        t0, tp, tp1 = pts
+        a, c, d = x
+        return a, c - (d - a) * ((1.0 + tp) / (tp1 + t0)), c, d
+    return tuple(x)
+
+
+def _ref_slacks(claim_id, a, b, c, d, t2p):
+    if claim_id == 1:
+        return (b - c, (a + c) - (b + d))
+    if claim_id == 2:
+        return (d - a, (a + c) - (b + d), c * t2p - (c + a - d))
+    return (d - a, b - c * t2p, b)
+
+
+def _ref_functional(a, b, c, d, t, tp, tp1):
+    return (abs(a - d * tp) + abs(b * t - c * tp1)) / (1.0 + tp)
+
+
+def _ref_lower_ratio(a, b, c, d, e, pts):
+    rt = max(a + c, b + d) ** (1.0 / e.p) * max(a + b, c + d) ** (1.0 / e.q)
+    if not rt > 0.0:
+        return math.inf
+    return max(_ref_functional(a, b, c, d, *pts), _ref_functional(d, c, b, a, *pts)) / rt
+
+
+def _ref_polish(claim_id, e, pts, t2p, tracked):
+    """The polish objective on the frozen helpers; tracked = [(ratio, entries)] holds the best feasible point."""
+
+    def polish_obj(x):
+        a, b, c, d = _ref_entries(claim_id, _ref_fold01_floats(x), pts)
+        if max(a, b, c, d) < 1e-12:
+            return 2.0
+        slack = min(_ref_slacks(claim_id, a, b, c, d, t2p))
+        val = _ref_lower_ratio(a, b, c, d, e, pts)
+        if slack >= -1e-12 and val < tracked[0][0]:
+            tracked[0] = (val, (a, b, c, d))
+        return val + 10.0 * max(0.0, -slack)
+
+    return polish_obj
+
+
 @given(
     st.lists(
         st.one_of(
@@ -452,8 +510,34 @@ def test_maximizer_leaves_numpy_ma_out():
 )
 @settings(max_examples=300, deadline=None)
 def test_float_fold_matches_array_fold(xs):
-    got = np.array(_fold01_floats(xs))
+    got = np.array(_ref_fold01_floats(xs))
     assert got.view(np.int64).tolist() == _fold01(np.array(xs)).view(np.int64).tolist()
+
+
+_POLISH_COORD = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=0.0, max_value=2e-12),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0]),
+)
+
+
+@pytest.mark.parametrize("claim_id, p", [(1, 1.3), (2, 1.3), (3, 1.3), (1, 1.05), (2, 1.9), (3, 1.16)])
+@given(points=st.lists(st.lists(_POLISH_COORD, min_size=4, max_size=4), min_size=1, max_size=24))
+@settings(max_examples=150, deadline=None)
+def test_bound_polish_matches_frozen_helpers(claim_id, p, points):
+    # every value, and the tracked best point, bit for bit
+    e = make_exponent(p)
+    pts = _t0_powers(e, t0_of(p))
+    t2p = pts[0] ** (2.0 - p)
+    start = (0.9, (0.0, 1.0, 1.0, 0.0))
+    obj, best = _claim_polish(claim_id, e, pts, t2p, start)
+    tracked = [start]
+    ref = _ref_polish(claim_id, e, pts, t2p, tracked)
+    for x in points:
+        x = x[:3] if claim_id == 3 else x
+        assert repr(obj(x)) == repr(ref(x))
+    assert repr(best()) == repr((*tracked[0], len(points)))
 
 
 class TestClaimRegions:
@@ -506,10 +590,13 @@ class TestClaimRegions:
             assert min(region) >= -1e-12
 
 
-def _full_grid_claim_region(claim_id, e, grid_n):
-    """verify_claim_region as written before it scored feasible points only:
-    a fresh mesh on every call, F/G and the ratio at every mesh point, inf at
-    the infeasible ones, and np.argmin over the whole array."""
+def _full_grid_claim_region(claim_id, e, grid_n, slacks=_ref_slacks, functional=_ref_functional):
+    """verify_claim_region as written before it scored feasible points only and
+    bound its polish objective per call: a fresh mesh on every call, F/G and
+    the ratio at every mesh point, inf at the infeasible ones, np.argmin over
+    the whole array, and the polish on the frozen float helpers.  slacks and
+    functional are taken on the mesh arrays.  Where no feasible point is found
+    it reports inf, not holding, at the zero operator."""
     p, q = e.p, e.q
     pts = t0, tp, tp1 = _t0_powers(e, compute_mp(e).t0)
     t2p = t0 ** (2.0 - p)
@@ -525,11 +612,11 @@ def _full_grid_claim_region(claim_id, e, grid_n):
         )
     else:
         X = tuple(x.ravel() for x in np.meshgrid(g, g, g, g, indexing="ij"))
-    A, B, C, D = _claim_entries(claim_id, X, pts)
+    A, B, C, D = _ref_entries(claim_id, X, pts)
     feas = np.maximum(np.maximum(A, B), np.maximum(C, D)) > 0.0
-    for slack in index._claim_slacks(claim_id, A, B, C, D, t2p):
+    for slack in slacks(claim_id, A, B, C, D, t2p):
         feas &= slack >= 0.0
-    fg = np.maximum(index._functional(A, B, C, D, *pts), index._functional(D, C, B, A, *pts))
+    fg = np.maximum(functional(A, B, C, D, *pts), functional(D, C, B, A, *pts))
     with np.errstate(invalid="ignore", divide="ignore"):
         rt = np.maximum(A + C, B + D) ** (1.0 / p) * np.maximum(A + B, C + D) ** (1.0 / q)
         ratio = np.where(feas & (rt > 0.0), fg / rt, np.inf)
@@ -537,31 +624,28 @@ def _full_grid_claim_region(claim_id, e, grid_n):
 
     tracked = [(float(ratio[i]), (float(A[i]), float(B[i]), float(C[i]), float(D[i])))]
     calls = []
+    polish_obj = _ref_polish(claim_id, e, pts, t2p, tracked)
 
-    def polish_obj(x):
+    def counted(x):
         calls.append(x)
-        a, b, c, d = _claim_entries(claim_id, _fold01_floats(x), pts)
-        if max(a, b, c, d) < 1e-12:
-            return 2.0
-        slack = min(_claim_slacks(claim_id, a, b, c, d, t2p))
-        val = _lower_ratio(a, b, c, d, e, pts)
-        if slack >= -1e-12 and val < tracked[0][0]:
-            tracked[0] = (val, (a, b, c, d))
-        return val + 10.0 * max(0.0, -slack)
+        return polish_obj(x)
 
-    _nelder_mead(polish_obj, [x[i] for x in X], ftol=1e-14)
+    _nelder_mead(counted, [x[i] for x in X], ftol=1e-14)
 
     best_val, (a, b, c, d) = tracked[0]
     m = max(a, b, c, d)
-    worst = SignPatternOp(max(a, 0.0) / m, max(b, 0.0) / m, max(c, 0.0) / m, max(d, 0.0) / m)
+    if m > 0.0:
+        worst = SignPatternOp(max(a, 0.0) / m, max(b, 0.0) / m, max(c, 0.0) / m, max(d, 0.0) / m)
+    else:
+        worst = SignPatternOp(0.0, 0.0, 0.0, 0.0)
     return ClaimRegionReport(
         claim_id=claim_id,
         p=p,
         infimum_found=best_val,
         target=target,
-        holds=best_val >= target - 1e-7,
+        holds=best_val >= target - 1e-7 and best_val != math.inf,
         worst_point=worst,
-        feasibility_slack=min(_claim_slacks(claim_id, *worst.as_tuple(), t2p)),
+        feasibility_slack=min(_ref_slacks(claim_id, *worst.as_tuple(), t2p)),
         feasible_points=int(feas.sum()),
         evaluations=len(calls),
     )
@@ -584,29 +668,38 @@ class TestClaimGridScoring:
             # repr tells 0.0 from -0.0 and round-trips every other float
             assert rep == ref and repr(rep) == repr(ref)
 
-    @pytest.mark.parametrize("claim_id", [1, 3])
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
     @pytest.mark.parametrize("patched", ["_claim_slacks", "_functional"])
     def test_no_finite_ratio(self, monkeypatch, claim_id, patched):
         # no feasible grid point, or F = inf on the whole grid: both start the
-        # polish from the mesh's first point at inf (claim 2's polish finds no
-        # feasible point from there; its mesh always holds the feasible
-        # (0, 0, 1, 1))
-        original = getattr(index, patched)
+        # polish from the mesh's first point at inf.  Claim 2's polish finds no
+        # feasible point from there, so it reports inf and does not hold (its
+        # mesh always holds the feasible (0, 0, 1, 1)).
+        def on_the_grid(fn):
+            def patched_fn(*args):
+                out = fn(*args)
+                if not isinstance(args[1], np.ndarray):
+                    return out
+                if patched == "_functional":
+                    return np.full_like(out, np.inf)
+                return out + (np.full_like(args[1], -1.0),)
 
-        def on_the_grid(*args):
-            out = original(*args)
-            if not isinstance(args[1], np.ndarray):
-                return out
-            if patched == "_functional":
-                return np.full_like(out, np.inf)
-            return out + (np.full_like(args[1], -1.0),)
+            return patched_fn
 
-        monkeypatch.setattr(index, patched, on_the_grid)
+        monkeypatch.setattr(index, patched, on_the_grid(getattr(index, patched)))
+        # a fresh cache of the p-independent points, built under the patch and dropped after it
+        monkeypatch.setattr(index, "_claim_free_points", lru_cache(maxsize=4)(_claim_free_points.__wrapped__))
         e = make_exponent(1.3)
         rep = verify_claim_region(claim_id, e)
-        ref = _full_grid_claim_region(claim_id, e, 12)
+        if patched == "_claim_slacks":
+            ref = _full_grid_claim_region(claim_id, e, 12, slacks=on_the_grid(_ref_slacks))
+        else:
+            ref = _full_grid_claim_region(claim_id, e, 12, functional=on_the_grid(_ref_functional))
         assert rep.feasible_points == (0 if patched == "_claim_slacks" else ref.feasible_points)
         assert rep == ref and repr(rep) == repr(ref)
+        if claim_id == 2:
+            assert rep.infimum_found == math.inf and not rep.holds
+            assert rep.worst_point == SignPatternOp(0.0, 0.0, 0.0, 0.0)
 
     def test_claim1_keeps_a_sixth_of_the_mesh(self):
         # claim 1's constraints do not depend on p
@@ -657,15 +750,45 @@ class TestClaimMesh:
             mesh[0][0] = 1.0
         assert _claim_mesh(7, dims) is mesh
 
+    @pytest.mark.parametrize("claim_id", [1, 2])
+    def test_free_points_read_only_and_reused(self, claim_id):
+        idx = _claim_free_points(claim_id, 7)
+        A, B, C, D = _claim_mesh(7, 4)
+        free = np.maximum(np.maximum(A, B), np.maximum(C, D)) > 0.0
+        for slack in _ref_slacks(claim_id, A, B, C, D, 0.5)[:2]:
+            free &= slack >= 0.0
+        assert np.array_equal(idx, np.flatnonzero(free))
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
+        assert _claim_free_points(claim_id, 7) is idx
+
+    @pytest.mark.parametrize("claim_id", [1, 2])
+    def test_free_slacks_do_not_depend_on_p(self, claim_id):
+        # the cached points rest on the slacks that t2p=None returns: they are
+        # the leading slacks at every t0^(2-p), bit for bit
+        X = _claim_mesh(12, 4)
+        free = _claim_slacks(claim_id, *X, None)
+        assert len(free) == 2
+        for p in (1.2, 1.5):
+            slacks = _claim_slacks(claim_id, *X, t0_of(p) ** (2.0 - p))
+            assert len(slacks) == {1: 2, 2: 3}[claim_id]
+            for got, ref in zip(free, slacks[:2]):
+                assert got.tobytes() == ref.tobytes()
+
     def test_bounded(self):
-        maxsize = _claim_mesh.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 8
-        for grid_n in range(4, 4 + maxsize + 2):
-            _claim_mesh(grid_n, 3)
-        assert _claim_mesh.cache_info().currsize == maxsize
+        for cache, args in ((_claim_mesh, lambda n: (n, 3)), (_claim_free_points, lambda n: (1, n))):
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and maxsize <= 8
+            for grid_n in range(4, 4 + maxsize + 2):
+                cache(*args(grid_n))
+            assert cache.cache_info().currsize == maxsize
+        # the verify rows' two entries, far below a megabyte
+        assert sum(_claim_free_points(c, 12).nbytes for c in (1, 2)) < 100_000
 
     def test_import_builds_nothing(self):
-        assert _fresh_python("import lpindex; print(lpindex.index._claim_mesh.cache_info().currsize)") == "0"
+        caches = ", ".join(f"lpindex.index.{c}.cache_info().currsize" for c in ("_claim_mesh", "_claim_free_points"))
+        assert _fresh_python(f"import lpindex; print({caches})") == "0 0"
 
 
 class TestRemarkCounterexample:
