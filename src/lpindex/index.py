@@ -46,6 +46,9 @@ _NM_STEP = 0.05
 _NM_MAX_ITER = 400
 _NM_FTOL = 1e-11
 
+# Outer product of a column and a grid, written with np.einsum into a workspace buffer
+_OUTER = "i,j->ij"
+
 
 @dataclass(frozen=True)
 class SignPatternOp:
@@ -384,24 +387,28 @@ def _nelder_mead_lockstep(fn, x0: np.ndarray):
     fn maps a (k, n) array of points to their (k,) values.  Each iteration
     makes at most three fn calls for all still-active starts: reflection,
     expansion/contraction (disjoint sets), shrink.  Per start the arithmetic
-    is _nelder_mead's, so endpoints and values match it bit for bit.
+    is _nelder_mead's, so endpoints and values match it bit for bit.  The
+    simplices of the active starts are kept as compact arrays, sorted by
+    direct indexing; a start's simplex is written back once, when it stops or
+    at the iteration cap.
     Returns the (S, n) endpoints and their (S,) values.
     """
     S, n = x0.shape
     simplex = np.repeat(x0[:, None, :], n + 1, axis=1)
     simplex[:, np.arange(1, n + 1), np.arange(n)] += _NM_STEP
     vals = fn(simplex.reshape(-1, n)).reshape(S, n + 1)
-    act = np.arange(S)
+    act, sx, sv = np.arange(S), simplex, vals
 
     for _ in range(_NM_MAX_ITER):
-        order = np.argsort(vals[act], axis=1, kind="stable")
-        simplex[act] = np.take_along_axis(simplex[act], order[:, :, None], axis=1)
-        vals[act] = np.take_along_axis(vals[act], order, axis=1)
-        sx, sv = simplex[act], vals[act]
+        order = np.argsort(sv, axis=1, kind="stable")
+        rows = np.arange(act.size)[:, None]
+        sx, sv = sx[rows, order], sv[rows, order]
         done = (sv[:, -1] - sv[:, 0] <= _NM_FTOL) & (np.abs(sx[:, 1:] - sx[:, :1]).max(axis=(1, 2)) <= 1e-8)
-        act, sx, sv = act[~done], sx[~done], sv[~done]
-        if act.size == 0:
-            break
+        if done.any():
+            simplex[act[done]], vals[act[done]] = sx[done], sv[done]
+            act, sx, sv = act[~done], sx[~done], sv[~done]
+            if act.size == 0:
+                break
         centroid = sx[:, :-1].mean(axis=1)
         worst = sx[:, -1]
         xr = centroid + (centroid - worst)
@@ -418,13 +425,14 @@ def _nelder_mead_lockstep(fn, x0: np.ndarray):
         take = (expand & (f2 < fr)) | (contract & (f2 < np.minimum(fr, sv[:, -1])))
         shrink = contract & ~take
         keep = ~shrink
-        simplex[act[keep], -1] = np.where(take[:, None], x2, xr)[keep]
-        vals[act[keep], -1] = np.where(take, f2, fr)[keep]
+        sx[keep, -1] = np.where(take[:, None], x2, xr)[keep]
+        sv[keep, -1] = np.where(take, f2, fr)[keep]
         if shrink.any():
-            rows = act[shrink]
-            best = simplex[rows, :1]
-            simplex[rows, 1:] = best + 0.5 * (simplex[rows, 1:] - best)
-            vals[rows, 1:] = fn(simplex[rows, 1:].reshape(-1, n)).reshape(rows.size, n)
+            best = sx[shrink, :1]
+            sx[shrink, 1:] = best + 0.5 * (sx[shrink, 1:] - best)
+            sv[shrink, 1:] = fn(sx[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+    else:
+        simplex[act], vals[act] = sx, sv
     i = vals.argmin(axis=1)
     return simplex[np.arange(S), i], vals[np.arange(S), i]
 
@@ -449,6 +457,17 @@ class _RatioSearch:
     of |.|^p + |.|^p over the row is then the one over both signs, bit for
     bit, as long as numpy's power is monotone on these inputs; the tests
     check that against the two-sign form, the code does not assume it.
+
+    Each instance evaluates in a workspace of its own: float64
+    (rows, SURROGATE_N + 1) buffers, four for scratch and one holding 1 + t^p
+    in every row, grown to the largest call (the initial simplex, starts x 5
+    rows) and reused through contiguous slices, so a call makes no array of
+    that size.  The row x grid products are written with einsum, which numpy
+    runs as one contiguous loop where a broadcast (S, 1) * (SURROGATE_N + 1,)
+    product runs one short loop per row; einsum adds each product to a
+    zeroed output, the same float for these inputs >= 0.  max(F, G) is the
+    larger numerator divided once by 1 + t^p, the same float as the larger
+    quotient because division by a positive number is monotone.
     """
 
     def __init__(self, e: Exponent):
@@ -458,17 +477,43 @@ class _RatioSearch:
         pw = SpherePowers(t, p)
         self.t, self.tp, self.tp1 = t, pw.tp, pw.tp1
         self.u1, self.u2 = pw.chart
+        self._work = np.empty((5, 0, t.size))
+
+    def _workspace(self, rows: int) -> np.ndarray:
+        """Four scratch buffers and 1 + t^p in every row, as (5, rows, SURROGATE_N + 1); each buffer is contiguous."""
+        if self._work.shape[1] < rows:
+            self._work = np.empty((5, rows, self.t.size))
+            self._work[4] = 1.0 + self.tp
+        return self._work[:, :rows]
 
     def norms(self, Y: np.ndarray) -> list[float]:
-        """Max of ||(a b; -c -d)(u, v)||_p over the chart points per row (a, b, c, d) >= 0 of Y, as floats."""
-        a, b, c, d = (Y[:, k, None] for k in range(4))
-        w1 = a * self.u1 + b * self.u2
-        w2 = c * self.u1 + d * self.u2
-        m = (w1**self.p + w2**self.p).max(axis=1)
+        """Max of ||(a b; -c -d)(u, v)||_p over the chart points per row (a, b, c, d) >= 0 of Y, as floats.
+
+        Above p of about 1024, (a u + b v)^p can overflow for a row with max
+        entry 1; such a row's maximum is taken again with the larger of the
+        two outputs factored out of each sample.
+        """
+        a, b, c, d = Y.T.copy()
+        w1, w2, x = self._workspace(len(Y))[:3]
+        np.einsum(_OUTER, a, self.u1, out=w1)
+        w1 += np.einsum(_OUTER, b, self.u2, out=x)
+        np.einsum(_OUTER, c, self.u1, out=w2)
+        w2 += np.einsum(_OUTER, d, self.u2, out=x)
+        with np.errstate(over="ignore"):
+            w1 **= self.p
+            w2 **= self.p
+            w1 += w2
+        m = w1.max(axis=1)
         # the last power per row in Python floats: numpy's vectorized power can
         # differ from libm pow in the last bit, which changes simplex paths
         r = 1.0 / self.p
-        return [mm**r for mm in m.tolist()]
+        out = [mm**r for mm in m.tolist()]
+        for i in np.flatnonzero(m == np.inf).tolist():
+            w1, w2 = Y[i, 0] * self.u1 + Y[i, 1] * self.u2, Y[i, 2] * self.u1 + Y[i, 3] * self.u2
+            W = np.maximum(w1, w2)
+            s = np.where(W > 0.0, W, 1.0)
+            out[i] = float((W * ((w1 / s) ** self.p + (w2 / s) ** self.p) ** r).max())
+        return out
 
     def ratio(self, Y: np.ndarray) -> np.ndarray:
         """Surrogate ratios of the operators in the rows (a, b, c, d) of Y, shape (S, 4).
@@ -478,10 +523,19 @@ class _RatioSearch:
         has degree 0, and at large p, w**p of a small row would underflow to 0.
         """
         Y = Y / Y.max(axis=1, keepdims=True)
-        a, b, c, d = (Y[:, k, None] for k in range(4))
-        F = _functional(a, b, c, d, self.t, self.tp, self.tp1).max(axis=1)
-        G = _functional(d, c, b, a, self.t, self.tp, self.tp1).max(axis=1)
-        return np.array([v / n for v, n in zip(np.maximum(F, G).tolist(), self.norms(Y))])
+        a, b, c, d = Y.T.copy()
+        f, g, x, y, den = self._workspace(len(Y))
+        # the numerators of F and G: |a - d t^p| + |b t - c t^(p-1)| and |d - a t^p| + |c t - b t^(p-1)|
+        for num, (a1, d1, b1, c1) in ((f, (a, d, b, c)), (g, (d, a, c, b))):
+            np.einsum(_OUTER, d1, self.tp, out=num)
+            np.abs(np.subtract(a1[:, None], num, out=num), out=num)
+            np.einsum(_OUTER, b1, self.t, out=x)
+            x -= np.einsum(_OUTER, c1, self.tp1, out=y)
+            num += np.abs(x, out=x)
+        np.maximum(f, g, out=f)
+        f /= den
+        fg = f.max(axis=1)
+        return np.array([v / n for v, n in zip(fg.tolist(), self.norms(Y))])
 
     def search_obj(self, X: np.ndarray) -> np.ndarray:
         """Surrogate ratios of the points X, shape (S, 4), folded into the cube;

@@ -1,7 +1,9 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from lpindex import (
 from lpindex import index
 from lpindex.cli import _verify_row
 from lpindex.index import (
+    SURROGATE_N,
     ClaimRegionReport,
     _claim_free_points,
     _claim_mesh,
@@ -330,6 +333,27 @@ class TestLockstepSearch:
             assert np.isfinite(r).all()
             assert r[0] == ctx.ratio(Y / Y.max())[0]
 
+    def test_every_start_stops_before_the_cap(self):
+        # on a convex bowl every start meets its own break long before the
+        # iteration cap, so the compact state of the active starts empties
+        def bowl(X):
+            return np.array([sum((k + 1.0) * (v - 0.3) ** 2 for k, v in enumerate(x)) for x in X.tolist()])
+
+        starts = _halton(16, 0)
+        x, f = _nelder_mead_lockstep(bowl, starts)
+        x_ref, f_ref, counts = _scalar_runs(bowl, starts)[:3]
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(f, f_ref)
+        assert (counts < _scalar_runs(bowl, starts, ftol=-1.0)[2]).all()
+
+    def test_one_start(self):
+        obj = _RatioSearch(make_exponent(1.3)).search_obj
+        for x0 in ([[0.0, 1.0, 1.0, 0.0]], _halton(1, 0)):
+            x, f = _nelder_mead_lockstep(obj, np.array(x0))
+            x_ref, f_ref = _scalar_runs(obj, x0)[:2]
+            assert np.array_equal(x, x_ref)
+            assert np.array_equal(f, f_ref)
+
     @pytest.mark.parametrize("starts", [1, 2])
     def test_few_starts(self, starts):
         e = make_exponent(1.3)
@@ -355,6 +379,25 @@ class _TwoSignSearch(_RatioSearch):
         w2 = np.abs(c * self.u1 + d * self.u2)
         m = (w1**self.p + w2**self.p).max(axis=1)
         return [mm ** (1.0 / self.p) for mm in m.tolist()]
+
+
+class _FrozenSearch(_RatioSearch):
+    """The surrogate as broadcast arithmetic on fresh temporaries, F and G each divided by 1 + t^p."""
+
+    def norms(self, Y):
+        a, b, c, d = (Y[:, k, None] for k in range(4))
+        w1 = a * self.u1 + b * self.u2
+        w2 = c * self.u1 + d * self.u2
+        m = (w1**self.p + w2**self.p).max(axis=1)
+        r = 1.0 / self.p
+        return [mm**r for mm in m.tolist()]
+
+    def ratio(self, Y):
+        Y = Y / Y.max(axis=1, keepdims=True)
+        a, b, c, d = (Y[:, k, None] for k in range(4))
+        F = _ref_functional(a, b, c, d, self.t, self.tp, self.tp1).max(axis=1)
+        G = _ref_functional(d, c, b, a, self.t, self.tp, self.tp1).max(axis=1)
+        return np.array([v / n for v, n in zip(np.maximum(F, G).tolist(), self.norms(Y))])
 
 
 def _surrogate_rows(u, v, rng):
@@ -393,13 +436,17 @@ class TestSurrogateChart:
         for chunk in np.array_split(Y, 8):
             assert np.array_equal(ctx.ratio(chunk), ref.ratio(chunk))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p, bound", [(1.01, 1.2e-4), (1.2, 1.2e-4), (1.5, 1.2e-4), (3.0, 1.2e-4),
-                                          (6.0, 1.2e-4), (1000.0, 6e-4)])
+                                          (6.0, 1.2e-4), (1000.0, 6e-4), (1100.0, 6e-4), (5000.0, 6e-4),
+                                          (1e5, 6e-4)])
     def test_norm_accuracy(self, p, bound):
         # the chart points lie on the sphere, so the sampled norm never exceeds
         # the tight one beyond rounding; over 13,000 rows of _surrogate_rows
         # per p the largest relative shortfall was 8.3e-5 (at p = 1.2) for
-        # p <= 6 and 4.2e-4 at p = 1000
+        # p <= 6 and 4.2e-4 at p = 1000; over the rows tested here it was
+        # 3.9e-4 at p = 1100, 1.2e-4 at 5000 and 6.8e-6 at 1e5, where
+        # (a u + b v)^p overflows near the diagonal without a warning
         e = make_exponent(p)
         ctx = _RatioSearch(e)
         Y = _surrogate_rows(ctx.u1, ctx.u2, np.random.default_rng(int(p * 100)))[::16]
@@ -407,6 +454,51 @@ class TestSurrogateChart:
         rel = (tight - np.array(ctx.norms(Y))) / tight
         assert rel.min() >= -1e-15
         assert rel.max() <= bound
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1100.0, 5000.0, 1e5])
+    def test_ratio_beyond_overflow(self, p):
+        # an overflowed norm read as inf made this ratio 0; the t grid's step
+        # of 1/256 leaves it 1.9e-3 below the tight one at p = 1e5
+        e = make_exponent(p)
+        T = Mat2(1.0, 1.0, -1.0, -1.0)
+        tight = numerical_radius(T, e).value / op_norm(T, e).norm
+        assert tight - 2.5e-3 <= _RatioSearch(e).ratio(np.ones((1, 4)))[0] <= tight
+
+    @pytest.mark.parametrize("p", [1.01, 1.2, 1.5, 2.0, 3.0, 6.0, 1000.0])
+    def test_matches_frozen_broadcast_form(self, p):
+        # the workspace form gives the broadcast form's floats; call sizes
+        # cycle large, small, large on one instance, so a stale workspace row
+        # would show in a later, smaller call
+        e = make_exponent(p)
+        ctx, ref = _RatioSearch(e), _FrozenSearch(e)
+        Y = _surrogate_rows(ctx.u1, ctx.u2, np.random.default_rng(int(p * 100)))
+        X = 6.0 * _halton(len(Y), 3) - 2.0
+        X[::97] = [2.0, 0.0, -2.0, 4.0]  # folds to 0
+        k = 0
+        for size in itertools.cycle((320, 1, 64, 5)):
+            if k >= len(Y):
+                break
+            rows, pts = Y[k : k + size], X[k : k + size]
+            k += size
+            assert np.array_equal(ctx.ratio(rows), ref.ratio(rows))
+            assert np.array_equal(ctx.norms(rows), ref.norms(rows))
+            assert np.array_equal(ctx.search_obj(pts), ref.search_obj(pts))
+
+    def test_warm_call_makes_no_grid_sized_array(self):
+        # a warm 64-row call works in its instance's workspace: its traced
+        # peak stays below one (64, SURROGATE_N + 1) float64 array
+        ctx = _RatioSearch(make_exponent(1.3))
+        X = _halton(64, 0)
+        ctx.search_obj(_halton(320, 1))
+        ctx.search_obj(X)
+        tracemalloc.start()
+        try:
+            ctx.search_obj(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * (SURROGATE_N + 1) * 8
 
 class TestHalton:
     def test_matches_scipy(self):
