@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import Exponent, Mat2, SpherePowers, make_exponent
 from .critical import HYPOTHESIS_RANGE, RANGE_BAND, compute_mp
-from .norms import op_norm
+from .norms import lp_pair, op_norm, riesz_thorin_bound
 from .radius import numerical_radius
 
 _CLAIM_RANGES = {1: (1.0, HYPOTHESIS_RANGE[1]), 2: (1.0, HYPOTHESIS_RANGE[1]), 3: HYPOTHESIS_RANGE}
@@ -76,6 +76,11 @@ class SignPatternOp:
 @dataclass(frozen=True)
 class IndexEstimate:
     """Estimated index with the minimizing operator found and its gap to mp.
+
+    value is the least re-evaluated v(T)/||T|| at the starts' endpoints and
+    the rotation, so it never exceeds the rotation's.  That ratio and
+    compute_mp's mp round differently, so value can exceed mp, and gap be
+    positive, by a few ulps (+1.1e-16 at p = 1100 with 4 starts).
 
     How far the starts' re-evaluated ratios agree: top3_spread is the
     third-best minus the best (None with fewer than three), near_best counts
@@ -138,17 +143,6 @@ def _functional(a, b, c, d, t, tp, tp1):
     return (abs(a - d * tp) + abs(b * t - c * tp1)) / (1.0 + tp)
 
 
-def _lower_ratio(a: float, b: float, c: float, d: float, e: Exponent, pts) -> float:
-    """max(F, G) at pts = _t0_powers(e, t0) over ||T||_1^(1/p) ||T||_inf^(1/q) of (a b; -c -d).
-
-    On floats with a, c >= 0 (b may be negative); inf where the bound is 0.
-    """
-    rt = max(a + c, b + d) ** (1.0 / e.p) * max(a + b, c + d) ** (1.0 / e.q)
-    if not rt > 0.0:
-        return math.inf
-    return max(_functional(a, b, c, d, *pts), _functional(d, c, b, a, *pts)) / rt
-
-
 def functional_F(T: SignPatternOp, e: Exponent, t0: float) -> float:
     """(|a - d t0^p| + |b t0 - c t0^(p-1)|) / (1 + t0^p)."""
     return _functional(T.a, T.b, T.c, T.d, *_t0_powers(e, t0))
@@ -163,7 +157,7 @@ def alpha_ratio(T: SignPatternOp, e: Exponent, t0: float) -> float:
     """max(F, G) over the interpolation bound of the corresponding matrix."""
     if max(T.a, T.b, T.c, T.d) <= 0.0:
         raise ValueError("alpha_ratio is undefined for the zero operator")
-    return _lower_ratio(*T.as_tuple(), e, _t0_powers(e, t0))
+    return max(functional_F(T, e, t0), functional_G(T, e, t0)) / riesz_thorin_bound(T.to_mat2(), e)
 
 
 def _claim3_entries(x, pts):
@@ -200,28 +194,25 @@ def claim3_balance_b(T: SignPatternOp, e: Exponent, t0: float) -> float:
     return _claim3_entries((T.a, T.c, T.d), _t0_powers(e, t0))[1]
 
 
-@lru_cache(maxsize=4)
-def _claim_mesh(grid_n: int, dims: int) -> tuple[np.ndarray, ...]:
-    """The raveled coordinates of the grid_n-per-axis mesh of the unit cube in dims dimensions, read-only."""
+@lru_cache(maxsize=6)
+def _claim_candidates(claim_id: int, grid_n: int) -> tuple[np.ndarray, ...]:
+    """claim_id's grid candidates: the search coordinates of the points of the
+    grid_n-per-axis mesh of the unit cube that are nonzero and meet the claim's
+    p-independent constraints, in mesh order and read-only.
+
+    (a, b, c, d) for claims 1-2, (a, c, d) for claim 3, whose b = c - (d - a) kappa
+    is 0 only where a, c and d are.
+    """
     g = np.linspace(0.0, 1.0, grid_n)
-    mesh = tuple(x.ravel() for x in np.meshgrid(*[g] * dims, indexing="ij"))
-    for x in mesh:
+    X = [x.ravel() for x in np.meshgrid(*[g] * (3 if claim_id == 3 else 4), indexing="ij")]
+    keep = np.max(X, axis=0) > 0.0
+    if claim_id != 3:
+        for slack in _claim_slacks(claim_id, *X, None):
+            keep &= slack >= 0.0
+    X = tuple(x[keep] for x in X)
+    for x in X:
         x.flags.writeable = False
-    return mesh
-
-
-@lru_cache(maxsize=4)
-def _claim_free_points(claim_id: int, grid_n: int) -> np.ndarray:
-    """Indices of the points of _claim_mesh(grid_n, 4) that are nonzero and meet claim_id's
-    p-independent constraints (claims 1-2 only), ascending and read-only."""
-    A, B, C, D = _claim_mesh(grid_n, 4)
-    # on finite entries this is max(A, B, C, D) > 0 in bool temporaries
-    free = (A > 0.0) | (B > 0.0) | (C > 0.0) | (D > 0.0)
-    for slack in _claim_slacks(claim_id, A, B, C, D, None):
-        free &= slack >= 0.0
-    idx = np.flatnonzero(free)
-    idx.flags.writeable = False
-    return idx
+    return X
 
 
 def _fold01(x: np.ndarray) -> np.ndarray:
@@ -236,9 +227,10 @@ def _claim_polish(claim_id: int, e: Exponent, pts: tuple[float, float, float], t
     objective(x) folds the search point x into the unit cube as _fold01 does,
     takes the claim's entries (_claim3_entries) and least slack (_claim_slacks)
     there, and returns 2.0 where every entry is below 1e-12, else the ratio
-    (_lower_ratio) plus 10 times the constraint violation.  Among the points
-    with slack >= -1e-12 it keeps the least ratio below start = (ratio,
-    entries); best() returns that (ratio, entries) and the number of calls.
+    max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) (inf where that bound is 0)
+    plus 10 times the constraint violation.  Among the points with
+    slack >= -1e-12 it keeps the least ratio below start = (ratio, entries);
+    best() returns that (ratio, entries) and the number of calls.
 
     The objective restates those float formulas with their IEEE operations in
     their order, so it matches the array path bit for bit; the tests hold it
@@ -490,8 +482,8 @@ class _RatioSearch:
         """Max of ||(a b; -c -d)(u, v)||_p over the chart points per row (a, b, c, d) >= 0 of Y, as floats.
 
         Above p of about 1024, (a u + b v)^p can overflow for a row with max
-        entry 1; such a row's maximum is taken again with the larger of the
-        two outputs factored out of each sample.
+        entry 1; such a row's maximum is taken again with lp_pair, which
+        factors the larger of the two outputs out of each sample.
         """
         a, b, c, d = Y.T.copy()
         w1, w2, x = self._workspace(len(Y))[:3]
@@ -509,10 +501,8 @@ class _RatioSearch:
         r = 1.0 / self.p
         out = [mm**r for mm in m.tolist()]
         for i in np.flatnonzero(m == np.inf).tolist():
-            w1, w2 = Y[i, 0] * self.u1 + Y[i, 1] * self.u2, Y[i, 2] * self.u1 + Y[i, 3] * self.u2
-            W = np.maximum(w1, w2)
-            s = np.where(W > 0.0, W, 1.0)
-            out[i] = float((W * ((w1 / s) ** self.p + (w2 / s) ** self.p) ** r).max())
+            a, b, c, d = Y[i]
+            out[i] = float(lp_pair(a * self.u1 + b * self.u2, c * self.u1 + d * self.u2, self.p).max())
         return out
 
     def ratio(self, Y: np.ndarray) -> np.ndarray:
@@ -616,18 +606,17 @@ def verify_claim_region(
     evaluations can become the reported infimum.  Out-of-hypothesis p raises
     unless force=True.
 
-    Only the feasible mesh points are scored (feasible_points of them); the
-    polish starts from the first one with the least ratio, or from the mesh's
-    first point when none has a finite ratio.  The p-independent cube mesh is
-    built once per grid_n and kept read-only in a small cache, and so are, for
-    claims 1-2, the indices of its nonzero points that meet the claim's
-    p-independent constraints (all of claim 1's; claim 2's d >= a and
-    a + c >= b + d), so claim 2's third slack is taken on those points only.
-    Claim 3's kink traces depend on t0 and are built on each call.  The float
-    polish objective is bound once per call (_claim_polish) and gives the
-    array formulas' values bit for bit.  When neither the grid nor the polish
-    finds a feasible point, infimum_found is inf, holds is False and
-    worst_point is the zero operator.
+    The grid's candidates do not depend on p (_claim_candidates): the nonzero
+    mesh points that meet the claim's p-independent constraints (all of claim
+    1's; claim 2's d >= a and a + c >= b + d), cached read-only per
+    (claim_id, grid_n).  Claim 3's kink traces depend on t0 and are appended
+    on each call.  Only the candidates that meet the remaining constraints
+    are scored (feasible_points of them); the polish starts from the first
+    one with the least ratio, or from the zero point at inf when none has a
+    finite ratio.  The float polish objective is bound once per call
+    (_claim_polish) and gives the array formulas' values bit for bit.  When
+    neither the grid nor the polish finds a feasible point, infimum_found is
+    inf, holds is False and worst_point is the zero operator.
 
     Each claim has one set of constraints, used by the grid, the polish and the
     report alike; feasibility_slack is their smallest slack at worst_point.
@@ -652,48 +641,38 @@ def verify_claim_region(
     t2p = t0 ** (2.0 - p)
     target = (tp1 - t0) / (1.0 + tp)
 
-    # the grid, in search coordinates, and the candidates among its points
+    # the grid's candidates, in search coordinates
+    X = _claim_candidates(claim_id, grid_n)
     if claim_id == 3:
-        A3, C3, D3 = _claim_mesh(grid_n, 3)
+        # kink traces a = d t0^p on both normalization charts max(c, d) = 1, so nonzero
         line = np.linspace(0.0, 1.0, grid_n * grid_n + 1)
-        # kink traces a = d t0^p on both normalization charts max(c, d) = 1
-        X = (
-            np.concatenate([A3, line * tp, np.full_like(line, tp)]),
-            np.concatenate([C3, np.ones_like(line), line]),
-            np.concatenate([D3, line, np.ones_like(line)]),
-        )
-        A, B, C, D = _claim3_entries(X, pts)
-        # nonzero operators; on finite entries this is max(A, B, C, D) > 0 in bool temporaries
-        idx = np.flatnonzero((A > 0.0) | (B > 0.0) | (C > 0.0) | (D > 0.0))
-    else:
-        X = A, B, C, D = _claim_mesh(grid_n, 4)
-        idx = _claim_free_points(claim_id, grid_n)
-    a, b, c, d = A[idx], B[idx], C[idx], D[idx]
-    feas = np.ones(idx.size, dtype=bool)
-    for slack in _claim_slacks(claim_id, a, b, c, d, t2p):
+        one = np.ones_like(line)
+        X = tuple(map(np.concatenate, ((X[0], line * tp, one * tp), (X[1], one, line), (X[2], line, one))))
+    A, B, C, D = _claim3_entries(X, pts) if claim_id == 3 else X
+    feas = np.ones(A.size, dtype=bool)
+    for slack in _claim_slacks(claim_id, A, B, C, D, t2p):
         feas &= slack >= 0.0
     # score the feasible points only; the first least ratio is the grid's argmin
-    idx = idx[feas]
-    a, b, c, d = a[feas], b[feas], c[feas], d[feas]
+    X = [x[feas] for x in X]
+    a, b, c, d = _claim3_entries(X, pts) if claim_id == 3 else X
     fg = np.maximum(_functional(a, b, c, d, *pts), _functional(d, c, b, a, *pts))
     with np.errstate(invalid="ignore", divide="ignore"):
         rt = np.maximum(a + c, b + d) ** (1.0 / p) * np.maximum(a + b, c + d) ** (1.0 / q)
         ratio = np.where(rt > 0.0, fg / rt, np.inf)
-    i, start_val = 0, math.inf
-    if idx.size:
-        k = int(np.argmin(ratio))
-        if ratio[k] != np.inf:
-            i, start_val = int(idx[k]), float(ratio[k])
+    start, x0 = (math.inf, (0.0, 0.0, 0.0, 0.0)), [0.0] * len(X)
+    k = int(np.argmin(ratio)) if a.size else 0
+    if a.size and ratio[k] != np.inf:
+        start = (float(ratio[k]), (float(a[k]), float(b[k]), float(c[k]), float(d[k])))
+        x0 = [float(x[k]) for x in X]
 
     # penalized local polish from the best grid point, tracking feasible evals
-    start = (start_val, (float(A[i]), float(B[i]), float(C[i]), float(D[i])))
     polish_obj, best = _claim_polish(claim_id, e, pts, t2p, start)
-    _nelder_mead(polish_obj, [x[i] for x in X], ftol=1e-14)
+    _nelder_mead(polish_obj, x0, ftol=1e-14)
 
-    best_val, (a, b, c, d), evaluations = best()
-    # the mesh's first point is 0, so m is 0 only when no feasible point was found
-    m = max(a, b, c, d) or 1.0
-    worst = SignPatternOp(max(a, 0.0) / m, max(b, 0.0) / m, max(c, 0.0) / m, max(d, 0.0) / m)
+    best_val, best_pt, evaluations = best()
+    # m is 0 only when no feasible point was found and the zero start was kept
+    m = max(best_pt) or 1.0
+    worst = SignPatternOp(*(max(v, 0.0) / m for v in best_pt))
     return ClaimRegionReport(
         claim_id=claim_id,
         p=p,
@@ -702,7 +681,7 @@ def verify_claim_region(
         holds=target - 1e-7 <= best_val < math.inf,
         worst_point=worst,
         feasibility_slack=min(_claim_slacks(claim_id, *worst.as_tuple(), t2p)),
-        feasible_points=int(idx.size),
+        feasible_points=int(a.size),
         evaluations=evaluations,
     )
 

@@ -62,7 +62,7 @@ def vec_norm(x, e: Exponent) -> float:
     x2 = float(x[1])
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError(f"vector entries must be finite, got {x!r}")
-    return float(_lp_pair(x1, x2, e.p))
+    return float(lp_pair(x1, x2, e.p))
 
 
 def norm_1(T: Mat2) -> float:
@@ -75,7 +75,7 @@ def norm_inf(T: Mat2) -> float:
     return max(abs(T.a) + abs(T.b), abs(T.c) + abs(T.d))
 
 
-def _lp_pair(u, v, p):
+def lp_pair(u, v, p):
     """Vectorized overflow-safe (|u|^p + |v|^p)^(1/p).
 
     The larger entry m is factored out, and its ratio m/m = 1 is written as
@@ -98,7 +98,7 @@ def _norm_objective(T: Mat2, p: float, sign: int):
 
     def f(t):
         u, v = sphere_powers(t, p).chart
-        return _lp_pair(a * u + b * v, c * u + d * v, p)
+        return lp_pair(a * u + b * v, c * u + d * v, p)
 
     return f
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lpindex
@@ -34,14 +34,12 @@ from lpindex.cli import _verify_row
 from lpindex.index import (
     SURROGATE_N,
     ClaimRegionReport,
-    _claim_free_points,
-    _claim_mesh,
+    _claim_candidates,
     _claim_polish,
     _claim_slacks,
     _fold01,
     _functional,
     _halton,
-    _lower_ratio,
     _nelder_mead,
     _nelder_mead_lockstep,
     _RatioSearch,
@@ -122,6 +120,21 @@ class TestAlphaRatio:
     def test_rejects_zero_operator(self):
         with pytest.raises(ValueError):
             alpha_ratio(SignPatternOp(0, 0, 0, 0), make_exponent(1.3), 0.1)
+
+    @given(
+        entries=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)), min_size=4, max_size=4),
+        scale=st.sampled_from([1.0, 1e-300, 1e200]),
+        p=st.floats(min_value=1.0001, max_value=1000.0),
+        t0=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_frozen_scalar_ratio(self, entries, scale, p, t0):
+        # F, G and riesz_thorin_bound give the floats of the scalar ratio, bit for bit
+        a, b, c, d = (scale * v for v in entries)
+        assume(max(a, b, c, d) > 0.0)
+        e = make_exponent(p)
+        ref = _ref_lower_ratio(a, b, c, d, e, _t0_powers(e, t0))
+        assert repr(alpha_ratio(SignPatternOp(a, b, c, d), e, t0)) == repr(ref)
 
     def test_lower_bounds_true_ratio(self):
         # max(F, G)/rt never exceeds v(T)/||T|| on the sign-pattern class
@@ -212,6 +225,13 @@ class TestEstimateIndex:
         assert est.near_best == sum(v - vals[0] <= 10.0 * tol for v in vals)
         assert est.converged is converged is (est.top3_spread <= 10.0 * tol) is (est.near_best >= 3)
 
+    @pytest.mark.parametrize("p", [1.3, 3.0, 1100.0])
+    def test_gap_is_at_most_rounding(self, p):
+        # value and mp round differently, so the gap can be positive by a few
+        # ulps (+1.1e-16 at p = 1100), never by more
+        est = estimate_index(make_exponent(p), starts=4, seed=0)
+        assert est.gap <= 4 * math.ulp(est.mp)
+
     def test_rejects_bad_arguments(self):
         e = make_exponent(1.3)
         with pytest.raises(ValueError):
@@ -265,7 +285,7 @@ def _claim2_penalized(p):
         out = []
         for a, b, c, d in _fold01(X).tolist():
             slack = min(_claim_slacks(2, a, b, c, d, t2p))
-            out.append(_lower_ratio(a, b, c, d, e, pts) + 10.0 * max(0.0, -slack))
+            out.append(_ref_lower_ratio(a, b, c, d, e, pts) + 10.0 * max(0.0, -slack))
         return np.array(out)
 
     return obj
@@ -400,6 +420,14 @@ class _FrozenSearch(_RatioSearch):
         return np.array([v / n for v, n in zip(np.maximum(F, G).tolist(), self.norms(Y))])
 
 
+def _ref_factored_norm(ctx, row):
+    """The sampled norm of one row with the larger output factored out of each sample, written out."""
+    w1, w2 = row[0] * ctx.u1 + row[1] * ctx.u2, row[2] * ctx.u1 + row[3] * ctx.u2
+    W = np.maximum(w1, w2)
+    s = np.where(W > 0.0, W, 1.0)
+    return float((W * ((w1 / s) ** ctx.p + (w2 / s) ** ctx.p) ** (1.0 / ctx.p)).max())
+
+
 def _surrogate_rows(u, v, rng):
     """Rows (a, b, c, d) >= 0 normalized to max entry 1, as search_obj passes them.
 
@@ -464,6 +492,20 @@ class TestSurrogateChart:
         T = Mat2(1.0, 1.0, -1.0, -1.0)
         tight = numerical_radius(T, e).value / op_norm(T, e).norm
         assert tight - 2.5e-3 <= _RatioSearch(e).ratio(np.ones((1, 4)))[0] <= tight
+
+    @pytest.mark.parametrize("p", [1100.0, 5000.0, 1e5])
+    def test_overflow_rows_match_frozen_factored_form(self, p):
+        # the rows whose sampled (a u + b v)^p overflows go through lp_pair,
+        # which gives the floats of the factored form bit for bit
+        ctx = _RatioSearch(make_exponent(p))
+        Y = _surrogate_rows(ctx.u1, ctx.u2, np.random.default_rng(int(p * 100)))[::4]
+        w1, w2 = Y[:, :2] @ np.vstack((ctx.u1, ctx.u2)), Y[:, 2:] @ np.vstack((ctx.u1, ctx.u2))
+        with np.errstate(over="ignore"):
+            over = np.flatnonzero(np.isinf((w1**p + w2**p).max(axis=1)))
+        assert over.size > 100
+        got = np.array(ctx.norms(Y))[over]
+        ref = np.array([_ref_factored_norm(ctx, Y[i]) for i in over])
+        assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("p", [1.01, 1.2, 1.5, 2.0, 3.0, 6.0, 1000.0])
     def test_matches_frozen_broadcast_form(self, p):
@@ -764,7 +806,7 @@ class TestClaimGridScoring:
     @pytest.mark.parametrize("patched", ["_claim_slacks", "_functional"])
     def test_no_finite_ratio(self, monkeypatch, claim_id, patched):
         # no feasible grid point, or F = inf on the whole grid: both start the
-        # polish from the mesh's first point at inf.  Claim 2's polish finds no
+        # polish from the zero point at inf.  Claim 2's polish finds no
         # feasible point from there, so it reports inf and does not hold (its
         # mesh always holds the feasible (0, 0, 1, 1)).
         def on_the_grid(fn):
@@ -779,8 +821,8 @@ class TestClaimGridScoring:
             return patched_fn
 
         monkeypatch.setattr(index, patched, on_the_grid(getattr(index, patched)))
-        # a fresh cache of the p-independent points, built under the patch and dropped after it
-        monkeypatch.setattr(index, "_claim_free_points", lru_cache(maxsize=4)(_claim_free_points.__wrapped__))
+        # a fresh cache of the grid candidates, built under the patch and dropped after it
+        monkeypatch.setattr(index, "_claim_candidates", lru_cache(maxsize=6)(_claim_candidates.__wrapped__))
         e = make_exponent(1.3)
         rep = verify_claim_region(claim_id, e)
         if patched == "_claim_slacks":
@@ -830,36 +872,36 @@ class TestClaimGridScoring:
         }
 
 
-class TestClaimMesh:
-    @pytest.mark.parametrize("dims", [3, 4])
-    def test_read_only_and_reused(self, dims):
-        mesh = _claim_mesh(7, dims)
-        g = np.linspace(0.0, 1.0, 7)
-        for x, ref in zip(mesh, np.meshgrid(*[g] * dims, indexing="ij"), strict=True):
-            assert not x.flags.writeable
-            assert np.array_equal(x, ref.ravel())
-        with pytest.raises(ValueError):
-            mesh[0][0] = 1.0
-        assert _claim_mesh(7, dims) is mesh
+def _fresh_candidates(claim_id, grid_n):
+    """The nonzero points of a fresh mesh, for claims 1-2 those that meet the p-independent slacks."""
+    g = np.linspace(0.0, 1.0, grid_n)
+    X = [x.ravel() for x in np.meshgrid(*[g] * (3 if claim_id == 3 else 4), indexing="ij")]
+    keep = np.max(X, axis=0) > 0.0
+    if claim_id != 3:
+        for slack in _ref_slacks(claim_id, *X, 0.5)[:2]:
+            keep &= slack >= 0.0
+    return [x[keep] for x in X]
 
-    @pytest.mark.parametrize("claim_id", [1, 2])
-    def test_free_points_read_only_and_reused(self, claim_id):
-        idx = _claim_free_points(claim_id, 7)
-        A, B, C, D = _claim_mesh(7, 4)
-        free = np.maximum(np.maximum(A, B), np.maximum(C, D)) > 0.0
-        for slack in _ref_slacks(claim_id, A, B, C, D, 0.5)[:2]:
-            free &= slack >= 0.0
-        assert np.array_equal(idx, np.flatnonzero(free))
-        assert not idx.flags.writeable
+
+class TestClaimMesh:
+    """The claim grids' one cache: each claim's candidate points of the mesh."""
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    def test_read_only_and_reused(self, claim_id):
+        X = _claim_candidates(claim_id, 7)
+        for x, ref in zip(X, _fresh_candidates(claim_id, 7), strict=True):
+            assert not x.flags.writeable
+            assert x.tobytes() == ref.tobytes()
         with pytest.raises(ValueError):
-            idx[0] = 0
-        assert _claim_free_points(claim_id, 7) is idx
+            X[0][0] = 1.0
+        assert _claim_candidates(claim_id, 7) is X
 
     @pytest.mark.parametrize("claim_id", [1, 2])
     def test_free_slacks_do_not_depend_on_p(self, claim_id):
         # the cached points rest on the slacks that t2p=None returns: they are
         # the leading slacks at every t0^(2-p), bit for bit
-        X = _claim_mesh(12, 4)
+        g = np.linspace(0.0, 1.0, 12)
+        X = [x.ravel() for x in np.meshgrid(g, g, g, g, indexing="ij")]
         free = _claim_slacks(claim_id, *X, None)
         assert len(free) == 2
         for p in (1.2, 1.5):
@@ -869,18 +911,16 @@ class TestClaimMesh:
                 assert got.tobytes() == ref.tobytes()
 
     def test_bounded(self):
-        for cache, args in ((_claim_mesh, lambda n: (n, 3)), (_claim_free_points, lambda n: (1, n))):
-            maxsize = cache.cache_info().maxsize
-            assert maxsize is not None and maxsize <= 8
-            for grid_n in range(4, 4 + maxsize + 2):
-                cache(*args(grid_n))
-            assert cache.cache_info().currsize == maxsize
-        # the verify rows' two entries, far below a megabyte
-        assert sum(_claim_free_points(c, 12).nbytes for c in (1, 2)) < 100_000
+        maxsize = _claim_candidates.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for grid_n in range(4, 4 + maxsize + 2):
+            _claim_candidates(1, grid_n)
+        assert _claim_candidates.cache_info().currsize == maxsize
+        # the verify rows' three entries (3,293, 3,293 and 1,727 points), far below a megabyte
+        assert sum(x.nbytes for c in (1, 2, 3) for x in _claim_candidates(c, 12)) < 300_000
 
     def test_import_builds_nothing(self):
-        caches = ", ".join(f"lpindex.index.{c}.cache_info().currsize" for c in ("_claim_mesh", "_claim_free_points"))
-        assert _fresh_python(f"import lpindex; print({caches})") == "0 0"
+        assert _fresh_python("import lpindex; print(lpindex.index._claim_candidates.cache_info().currsize)") == "0"
 
 
 class TestRemarkCounterexample:

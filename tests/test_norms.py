@@ -18,7 +18,7 @@ from lpindex import (
     vec_norm,
 )
 from lpindex.core import sphere_powers
-from lpindex.norms import _lp_pair, _norm_objective
+from lpindex.norms import _norm_objective, lp_pair
 
 EPS = sys.float_info.epsilon
 
@@ -152,7 +152,7 @@ class TestOpNorm:
             x = (w.x1, w.x2)
             assert found == {tuple(c.hex() for c in x)}
             u, v = np.array([x[0]]), np.array([x[1]])
-            assert _lp_pair(T.a * u + T.b * v, T.c * u + T.d * v, p).item() == r.norm
+            assert lp_pair(T.a * u + T.b * v, T.c * u + T.d * v, p).item() == r.norm
 
 
 class TestRieszThorin:
@@ -295,6 +295,6 @@ class TestLpPair:
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_three_powers(self, pairs, p):
         u, v = np.array(pairs).T
-        got = np.asarray(_lp_pair(u, v, p), dtype=np.float64)
+        got = np.asarray(lp_pair(u, v, p), dtype=np.float64)
         ref = np.asarray(_three_power_pair(u, v, p), dtype=np.float64)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
