@@ -100,6 +100,13 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
     the grid again.  p = 2 is an explicit degenerate branch (the numerator
     vanishes identically).
 
+    Within about 1e-10 of p = 2 the returned t0 is rounding noise: the
+    numerator t^(p-1) - t carries an absolute error near 1e-16 while its true
+    size there is about 1e-11, so the objective is flat to within its own
+    noise over a wide band of t.  At p = 2 - 1.44e-10 two versions of this
+    routine returned t0 = 0.301397 and 0.301245 (the p -> 2 limit of the
+    argmax is 0.301291); their mp agreed to 2.7e-18.
+
     The last result is cached, so the several calls that one verify or sweep
     row makes for its exponent compute it once; rows never share an exponent,
     so one entry is enough.  The cache key is the call as spelled:

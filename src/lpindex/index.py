@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 
 import numpy as np
 
@@ -182,8 +181,18 @@ def _claim_slacks(claim_id: int, a, b, c, d, t2p: float | None) -> tuple:
         return (b - c, (a + c) - (b + d))
     if claim_id == 2:
         free = (d - a, (a + c) - (b + d))
-        return free if t2p is None else free + (c * t2p - (c + a - d),)
+        return free if t2p is None else free + _open_slacks(2, a, b, c, d, t2p)
     return (d - a, b - c * t2p, b)
+
+
+def _open_slacks(claim_id: int, a, b, c, d, t2p: float) -> tuple:
+    """The slacks of _claim_slacks that claim_id's grid candidates (_claim_candidates) do not already meet:
+    none of claim 1's, which do not depend on p, claim 2's one p-dependent slack, and all of claim 3's."""
+    if claim_id == 1:
+        return ()
+    if claim_id == 2:
+        return (c * t2p - (c + a - d),)
+    return _claim_slacks(3, a, b, c, d, t2p)
 
 
 def claim3_balance_b(T: SignPatternOp, e: Exponent, t0: float) -> float:
@@ -311,20 +320,28 @@ def _halton(n: int, seed: int) -> np.ndarray:
 def _nelder_mead(fn, x0, ftol: float = _NM_FTOL):
     """Deterministic Nelder-Mead minimizer (reflect 1, expand 2, contract/shrink 0.5) on Python floats.
 
-    fn maps a list of n floats to a float.  Vertices are lists, not arrays:
-    the claim polish minimizes 3- and 4-vectors, where numpy's fixed cost per
-    call outweighs the arithmetic, and each objective must stay on floats
-    anyway (numpy's array power differs from libm pow on about 5% of inputs).
-    Each step does the array form's arithmetic in the same order (the
-    centroid sums the first n vertices in sequence, as numpy's mean(axis=0)
-    does; the order is a stable sort's, kept after a step that moves only
-    the last vertex by inserting it at bisect_right), so
-    _nelder_mead_lockstep, which steps numpy arrays, reproduces it bit for
-    bit.
+    fn maps a list of n floats to a float, n = 3 or 4 (the claim polish's
+    dimensions); any other n raises ValueError.  Vertices are lists, not
+    arrays: on 3- and 4-vectors numpy's fixed cost per call outweighs the
+    arithmetic, and each objective must stay on floats anyway (numpy's array
+    power differs from libm pow on about 5% of inputs).  Each step does the
+    array form's arithmetic in the same order, so _nelder_mead_lockstep,
+    which steps numpy arrays, reproduces it bit for bit: the centroid sums
+    the first n vertices in sequence, (((x0 + x1) + x2) + x3) / n, as numpy's
+    mean(axis=0) does (sum() would not: it compensates rounding from Python
+    3.12 on), and the order is a stable sort's, kept after a step
+    that moves only the last vertex by moving it to bisect_right.
+    The centroid and the reflection, expansion and contraction points are
+    written out coordinate by coordinate for each of the two dimensions,
+    because as loops over the coordinates (zip, reduce) this bookkeeping cost
+    about as much per step as the objective it steers.
     Returns the best vertex, as a list, and its value.
     """
     x0 = [float(v) for v in x0]
     n = len(x0)
+    if n not in (3, 4):
+        raise ValueError(f"_nelder_mead minimizes over 3 or 4 coordinates, got {n}")
+    four = n == 4
     simplex = [x0] + [x0[:i] + [x0[i] + _NM_STEP] + x0[i + 1 :] for i in range(n)]
     vals = [fn(x) for x in simplex]
 
@@ -338,17 +355,29 @@ def _nelder_mead(fn, x0, ftol: float = _NM_FTOL):
         else:
             # only the last vertex moved: its stable-sort place is after its equals
             k = bisect_right(vals, vals[-1], 0, n)
-            simplex.insert(k, simplex.pop())
-            vals.insert(k, vals.pop())
-        best, worst = simplex[0], simplex[-1]
-        if vals[-1] - vals[0] <= ftol and max(abs(v - b) for x in simplex[1:] for v, b in zip(x, best)) <= 1e-8:
+            if k < n:
+                simplex.insert(k, simplex.pop())
+                vals.insert(k, vals.pop())
+        best = simplex[0]
+        if vals[-1] - vals[0] <= ftol and all(abs(v - b) <= 1e-8 for x in simplex[1:] for v, b in zip(x, best)):
             break
-        # reduce, not sum: sum() compensates float rounding from Python 3.12 on
-        centroid = [reduce(add, col) / n for col in zip(*simplex[:-1])]
-        xr = [c + (c - w) for c, w in zip(centroid, worst)]
+        # centroid g of all but the worst vertex w, and the reflection r
+        if four:
+            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3), (w0, w1, w2, w3) = simplex
+            g0, g1 = (((a0 + b0) + c0) + d0) / 4, (((a1 + b1) + c1) + d1) / 4
+            g2, g3 = (((a2 + b2) + c2) + d2) / 4, (((a3 + b3) + c3) + d3) / 4
+            r0, r1, r2, r3 = g0 + (g0 - w0), g1 + (g1 - w1), g2 + (g2 - w2), g3 + (g3 - w3)
+            xr = [r0, r1, r2, r3]
+        else:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (w0, w1, w2) = simplex
+            g0, g1, g2 = ((a0 + b0) + c0) / 3, ((a1 + b1) + c1) / 3, ((a2 + b2) + c2) / 3
+            r0, r1, r2 = g0 + (g0 - w0), g1 + (g1 - w1), g2 + (g2 - w2)
+            xr = [r0, r1, r2]
         fr = fn(xr)
         if fr < vals[0]:
-            xe = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
+            xe = [g0 + 2.0 * (g0 - w0), g1 + 2.0 * (g1 - w1), g2 + 2.0 * (g2 - w2)]
+            if four:
+                xe.append(g3 + 2.0 * (g3 - w3))
             fe = fn(xe)
             if fe < fr:
                 simplex[-1], vals[-1] = xe, fe
@@ -357,10 +386,14 @@ def _nelder_mead(fn, x0, ftol: float = _NM_FTOL):
         elif fr < vals[-2]:
             simplex[-1], vals[-1] = xr, fr
         else:
-            if fr < vals[-1]:
-                xc = [c + 0.5 * (r - c) for c, r in zip(centroid, xr)]
-            else:
-                xc = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+            # contract toward r when it beats w, else toward w
+            if not fr < vals[-1]:
+                r0, r1, r2 = w0, w1, w2
+                if four:
+                    r3 = w3
+            xc = [g0 + 0.5 * (r0 - g0), g1 + 0.5 * (r1 - g1), g2 + 0.5 * (r2 - g2)]
+            if four:
+                xc.append(g3 + 0.5 * (r3 - g3))
             fc = fn(xc)
             if fc < min(fr, vals[-1]):
                 simplex[-1], vals[-1] = xc, fc
@@ -611,7 +644,9 @@ def verify_claim_region(
     1's; claim 2's d >= a and a + c >= b + d), cached read-only per
     (claim_id, grid_n).  Claim 3's kink traces depend on t0 and are appended
     on each call.  Only the candidates that meet the remaining constraints
-    are scored (feasible_points of them); the polish starts from the first
+    (_open_slacks: none for claim 1, so its candidates are scored without a
+    mask; claim 2's p-dependent one; all of claim 3's) are scored
+    (feasible_points of them); the polish starts from the first
     one with the least ratio, or from the zero point at inf when none has a
     finite ratio.  The float polish objective is bound once per call
     (_claim_polish) and gives the array formulas' values bit for bit.  When
@@ -648,13 +683,14 @@ def verify_claim_region(
         line = np.linspace(0.0, 1.0, grid_n * grid_n + 1)
         one = np.ones_like(line)
         X = tuple(map(np.concatenate, ((X[0], line * tp, one * tp), (X[1], one, line), (X[2], line, one))))
-    A, B, C, D = _claim3_entries(X, pts) if claim_id == 3 else X
-    feas = np.ones(A.size, dtype=bool)
-    for slack in _claim_slacks(claim_id, A, B, C, D, t2p):
-        feas &= slack >= 0.0
-    # score the feasible points only; the first least ratio is the grid's argmin
-    X = [x[feas] for x in X]
     a, b, c, d = _claim3_entries(X, pts) if claim_id == 3 else X
+    # score the feasible points only; the first least ratio is the grid's argmin
+    slacks = _open_slacks(claim_id, a, b, c, d, t2p)
+    if slacks:
+        feas = slacks[0] >= 0.0
+        for slack in slacks[1:]:
+            feas &= slack >= 0.0
+        a, b, c, d = a[feas], b[feas], c[feas], d[feas]
     fg = np.maximum(_functional(a, b, c, d, *pts), _functional(d, c, b, a, *pts))
     with np.errstate(invalid="ignore", divide="ignore"):
         rt = np.maximum(a + c, b + d) ** (1.0 / p) * np.maximum(a + b, c + d) ** (1.0 / q)
@@ -663,7 +699,7 @@ def verify_claim_region(
     k = int(np.argmin(ratio)) if a.size else 0
     if a.size and ratio[k] != np.inf:
         start = (float(ratio[k]), (float(a[k]), float(b[k]), float(c[k]), float(d[k])))
-        x0 = [float(x[k]) for x in X]
+        x0 = [float(x[k]) for x in ((a, c, d) if claim_id == 3 else (a, b, c, d))]
 
     # penalized local polish from the best grid point, tracking feasible evals
     polish_obj, best = _claim_polish(claim_id, e, pts, t2p, start)

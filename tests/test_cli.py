@@ -332,6 +332,48 @@ class TestSweep:
         capsys.readouterr()
 
 
+class TestProcessPool:
+    """Grid commands print and write the same bytes through cli's process pool as serially."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                made.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        return made
+
+    def _by_workers(self, monkeypatch, command):
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("LPINDEX_WORKERS", workers)
+            outs.append(command())
+        return outs
+
+    def test_verify_stdout(self, capsys, monkeypatch, pools):
+        serial, pooled = self._by_workers(monkeypatch, lambda: run(capsys, "verify", "--n", "8"))
+        assert pools == [2]
+        assert serial[0] == 0 and serial[1].count("  ok") == 8
+        assert pooled == serial
+
+    def test_sweep_file(self, capsys, monkeypatch, pools, tmp_path):
+        # both runs write to one path, so stdout names the same file
+        out_path = tmp_path / "sweep.csv"
+
+        def sweep():
+            code, out = run(capsys, "sweep", "--n", "4", "--starts", "2", "--out", str(out_path))
+            return code, out, out_path.read_bytes()
+
+        serial, pooled = self._by_workers(monkeypatch, sweep)
+        assert pools == [2]
+        assert serial[0] == 0 and json.loads(serial[1])["rows"] == 4
+        assert pooled == serial
+
+
 def _python_m_lpindex(*argv):
     src = str(Path(lpindex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -1,10 +1,12 @@
+import bisect
 import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,8 @@ from lpindex.index import (
     _halton,
     _nelder_mead,
     _nelder_mead_lockstep,
+    _NM_MAX_ITER,
+    _NM_STEP,
     _RatioSearch,
     _t0_powers,
 )
@@ -383,6 +387,151 @@ class TestLockstepSearch:
         assert est.top3_spread is None
         assert est.near_best <= starts
         assert est.value <= est.mp + 1e-6
+
+
+def _frozen_nelder_mead(fn, x0, ftol=1e-11):
+    """_nelder_mead before its steps were written out: the centroid summed with
+    reduce(add, col), a pop/insert after every step that moves one vertex, the
+    stop test over max(...), and every dimension accepted."""
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    simplex = [x0] + [x0[:i] + [x0[i] + _NM_STEP] + x0[i + 1 :] for i in range(n)]
+    vals = [fn(x) for x in simplex]
+
+    resort = True
+    for _ in range(_NM_MAX_ITER):
+        if resort:
+            order = sorted(range(n + 1), key=vals.__getitem__)
+            simplex = [simplex[i] for i in order]
+            vals = [vals[i] for i in order]
+            resort = False
+        else:
+            k = bisect.bisect_right(vals, vals[-1], 0, n)
+            simplex.insert(k, simplex.pop())
+            vals.insert(k, vals.pop())
+        best, worst = simplex[0], simplex[-1]
+        if vals[-1] - vals[0] <= ftol and max(abs(v - b) for x in simplex[1:] for v, b in zip(x, best)) <= 1e-8:
+            break
+        centroid = [reduce(add, col) / n for col in zip(*simplex[:-1])]
+        xr = [c + (c - w) for c, w in zip(centroid, worst)]
+        fr = fn(xr)
+        if fr < vals[0]:
+            xe = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
+            fe = fn(xe)
+            if fe < fr:
+                simplex[-1], vals[-1] = xe, fe
+            else:
+                simplex[-1], vals[-1] = xr, fr
+        elif fr < vals[-2]:
+            simplex[-1], vals[-1] = xr, fr
+        else:
+            if fr < vals[-1]:
+                xc = [c + 0.5 * (r - c) for c, r in zip(centroid, xr)]
+            else:
+                xc = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+            fc = fn(xc)
+            if fc < min(fr, vals[-1]):
+                simplex[-1], vals[-1] = xc, fc
+            else:
+                for i in range(1, n + 1):
+                    simplex[i] = [b + 0.5 * (v - b) for b, v in zip(best, simplex[i])]
+                    vals[i] = fn(simplex[i])
+                resort = True
+    i = min(range(n + 1), key=vals.__getitem__)
+    return simplex[i], vals[i]
+
+
+def _nm_trace(nm, fn, x0, ftol):
+    """nm's endpoint and value, and every point it asked fn for with its value, as reprs (which tell -0.0 from 0.0)."""
+    calls = []
+
+    def traced(x):
+        v = fn(x)
+        calls.append(repr((x, v)))
+        return v
+
+    return repr(nm(traced, x0, ftol=ftol)), calls
+
+
+def _polish_run(claim_id, p):
+    """The objective, start and ftol with which verify_claim_region polishes claim_id at p."""
+    runs = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(index, "_nelder_mead", lambda fn, x0, ftol: runs.append((fn, list(x0), ftol)) or (x0, 0.0))
+        verify_claim_region(claim_id, make_exponent(p), force=True)
+    return runs[0]
+
+
+@pytest.fixture
+def nm_steps(monkeypatch):
+    """Counts of _nelder_mead's steps: full sorts (the first and one after each
+    shrink), placements of the one moved vertex, placements at the last place
+    (which move nothing) and placements among equal values."""
+    steps = dict.fromkeys(("sorts", "placements", "last", "ties"), 0)
+
+    def sorting(*args, **kwargs):
+        steps["sorts"] += 1
+        return sorted(*args, **kwargs)
+
+    def placing(vals, v, lo, hi):
+        k = bisect.bisect_right(vals, v, lo, hi)
+        steps["placements"] += 1
+        steps["last"] += k == hi
+        steps["ties"] += v in vals[lo:hi]
+        return k
+
+    monkeypatch.setattr(index, "sorted", sorting, raising=False)
+    monkeypatch.setattr(index, "bisect_right", placing)
+    return steps
+
+
+class TestNelderMeadMatchesFrozen:
+    """The written-out simplex steps give the reduce-based form's endpoint, value
+    and objective calls, bit for bit."""
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.2, 1.3, 1.5])
+    def test_claim_polish(self, claim_id, p):
+        fn, x0, ftol = _polish_run(claim_id, p)
+        got = _nm_trace(_nelder_mead, fn, x0, ftol)
+        assert len(got[1]) > 100
+        assert got == _nm_trace(_frozen_nelder_mead, fn, x0, ftol)
+
+    def test_forced_claim3_breakdown(self):
+        fn, x0, ftol = _polish_run(3, 1.16)
+        assert _nm_trace(_nelder_mead, fn, x0, ftol) == _nm_trace(_frozen_nelder_mead, fn, x0, ftol)
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    def test_rounded_ties(self, nm_steps, claim_id):
+        # a rounded objective ties vertices often: a vertex placed after its
+        # equals, and one left in the last place, must keep the stable order
+        fn, x0, ftol = _polish_run(claim_id, 1.5)
+        rounded = lambda x: round(fn(x), 3)
+        got = _nm_trace(_nelder_mead, rounded, x0, ftol)
+        assert got == _nm_trace(_frozen_nelder_mead, rounded, x0, ftol)
+        assert nm_steps["ties"] > 0 and nm_steps["last"] > 0
+
+    def test_start_that_shrinks(self, nm_steps):
+        fn, x0, ftol = _polish_run(1, 1.3)
+        got = _nm_trace(_nelder_mead, fn, x0, ftol)
+        assert got == _nm_trace(_frozen_nelder_mead, fn, x0, ftol)
+        assert nm_steps["sorts"] > 10
+        # it stops on its own: a run that never stops evaluates more points
+        assert len(got[1]) < len(_nm_trace(_frozen_nelder_mead, fn, x0, -1.0)[1])
+
+    def test_start_that_runs_to_the_cap(self, nm_steps):
+        fn, x0, ftol = _polish_run(2, 1.3)
+        got = _nm_trace(_nelder_mead, fn, x0, ftol)
+        assert got == _nm_trace(_frozen_nelder_mead, fn, x0, ftol)
+        assert nm_steps["sorts"] + nm_steps["placements"] == _NM_MAX_ITER
+        assert got == _nm_trace(_nelder_mead, fn, x0, -1.0)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_other_dimensions_raise(self, n):
+        calls = []
+        with pytest.raises(ValueError, match="3 or 4"):
+            _nelder_mead(calls.append, [0.5] * n)
+        assert calls == []
 
 
 class _TwoSignSearch(_RatioSearch):
