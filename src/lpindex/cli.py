@@ -35,6 +35,8 @@ DEFAULTS = {"tol": 1e-10, "starts": 64, "seed": 0}
 
 SWEEP_COLUMNS = ("p", "q", "t0", "mp", "lower_bound", "index_estimate", "gap")
 
+# The per-axis grid of the sampled claim search that the vertex enumeration
+# replaced; read only as a provenance field by perfbench's VerifyBattery.sizes()
 VERIFY_CLAIM_GRID = 12
 
 EXIT_BROKEN_PIPE = 141
@@ -131,7 +133,7 @@ def _verify_row(p: float) -> dict:
         "lemma_ok": rep.all_hold,
     }
     for cid in (1, 2, 3):
-        cr = verify_claim_region(cid, e, grid_n=VERIFY_CLAIM_GRID)
+        cr = verify_claim_region(cid, e)
         row[f"claim{cid}_gap"] = cr.infimum_found - cr.target
         row[f"claim{cid}_ok"] = cr.holds
     row["ok"] = row["lemma_ok"] and all(row[f"claim{cid}_ok"] for cid in (1, 2, 3))

@@ -12,17 +12,20 @@ each start follows exactly the path a lone run would.  The start points are
 an Owen-scrambled Halton sequence built here from numpy's generator.  Every
 candidate is re-evaluated at tight tolerance before reporting.
 
-verify_claim_region numerically minimizes the closed-form lower-bound ratio
+verify_claim_region computes the infimum of the closed-form lower-bound ratio
 max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) over three constrained operator
-regions and compares against the target (t0^(p-1) - t0)/(1 + t0^p).  The
-reported infimum is an upper bound on the true one, so "holds" means "no
-counterexample found at this resolution", not a proof.
+regions and compares it with the target (t0^(p-1) - t0)/(1 + t0^p).  The
+numerator is piecewise linear, the denominator a weighted geometric mean of
+two linear forms and every constraint linear, so the infimum is taken at a
+vertex of a small plane arrangement or at a closed-form point of a segment
+between two of them; _ratio_infimum enumerates both.  The result is float64
+with stated tolerances (see verify_claim_region), not a proof.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,8 +104,8 @@ class IndexEstimate:
 class ClaimRegionReport:
     """Outcome of minimizing the lower-bound ratio over one claim region.
 
-    feasible_points counts the grid points scored; evaluations counts the
-    polish objective's calls.
+    vertices counts the distinct feasible vertices of the enumeration,
+    segments the vertex pairs that share a cell of its arrangement.
     """
 
     claim_id: int
@@ -112,8 +115,8 @@ class ClaimRegionReport:
     holds: bool
     worst_point: SignPatternOp
     feasibility_slack: float
-    feasible_points: int
-    evaluations: int
+    vertices: int
+    segments: int
 
 
 @dataclass(frozen=True)
@@ -171,28 +174,17 @@ def _claim3_entries(x, pts):
     return a, c - (d - a) * ((1.0 + tp) / (tp1 + t0)), c, d
 
 
-def _claim_slacks(claim_id: int, a, b, c, d, t2p: float | None) -> tuple:
-    """Slacks of the constraints that claim_id's search enforces, t2p = t0^(2-p).
+def _claim_slacks(claim_id: int, a, b, c, d, t2p: float) -> tuple:
+    """Slacks of claim_id's constraints at (a, b, c, d), t2p = t0^(2-p).
 
-    A point is feasible when every slack is >= 0.  Claims 1-2 list the slacks
-    that do not depend on p first; t2p=None returns only those.
+    A point is feasible when every slack is >= 0.  Each slack is linear in
+    (a, b, c, d), so its values at the unit vectors are its normal.
     """
     if claim_id == 1:
         return (b - c, (a + c) - (b + d))
     if claim_id == 2:
-        free = (d - a, (a + c) - (b + d))
-        return free if t2p is None else free + _open_slacks(2, a, b, c, d, t2p)
+        return (d - a, (a + c) - (b + d), c * t2p - (c + a - d))
     return (d - a, b - c * t2p, b)
-
-
-def _open_slacks(claim_id: int, a, b, c, d, t2p: float) -> tuple:
-    """The slacks of _claim_slacks that claim_id's grid candidates (_claim_candidates) do not already meet:
-    none of claim 1's, which do not depend on p, claim 2's one p-dependent slack, and all of claim 3's."""
-    if claim_id == 1:
-        return ()
-    if claim_id == 2:
-        return (c * t2p - (c + a - d),)
-    return _claim_slacks(3, a, b, c, d, t2p)
 
 
 def claim3_balance_b(T: SignPatternOp, e: Exponent, t0: float) -> float:
@@ -203,93 +195,121 @@ def claim3_balance_b(T: SignPatternOp, e: Exponent, t0: float) -> float:
     return _claim3_entries((T.a, T.c, T.d), _t0_powers(e, t0))[1]
 
 
-@lru_cache(maxsize=6)
-def _claim_candidates(claim_id: int, grid_n: int) -> tuple[np.ndarray, ...]:
-    """claim_id's grid candidates: the search coordinates of the points of the
-    grid_n-per-axis mesh of the unit cube that are nonzero and meet the claim's
-    p-independent constraints, in mesh order and read-only.
+def _arrangement(pts: tuple[float, float, float], balance: bool) -> np.ndarray:
+    """Normals of the planes on whose cells max(F, G), max(a + c, b + d) and max(a + b, c + d) are linear.
 
-    (a, b, c, d) for claims 1-2, (a, c, d) for claim 3, whose b = c - (d - a) kappa
-    is 0 only where a, c and d are.
+    pts = _t0_powers(e, t0).  The four |.| arguments of F and G, the two max
+    switches and, with balance, the eight F = G candidates: one per sign
+    pattern of the |.| arguments, up to the sign of the whole pattern, which
+    gives the same plane.
     """
-    g = np.linspace(0.0, 1.0, grid_n)
-    X = [x.ravel() for x in np.meshgrid(*[g] * (3 if claim_id == 3 else 4), indexing="ij")]
-    keep = np.max(X, axis=0) > 0.0
-    if claim_id != 3:
-        for slack in _claim_slacks(claim_id, *X, None):
-            keep &= slack >= 0.0
-    X = tuple(x[keep] for x in X)
-    for x in X:
-        x.flags.writeable = False
-    return X
+    t0, tp, tp1 = pts
+    # a - d t0^p and b t0 - c t0^(p-1) (F's), d - a t0^p and c t0 - b t0^(p-1) (G's)
+    args = np.array([[1.0, 0.0, 0.0, -tp], [0.0, t0, -tp1, 0.0], [-tp, 0.0, 0.0, 1.0], [0.0, -tp1, t0, 0.0]])
+    planes = [args, np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])]
+    if balance:
+        s = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        planes.append(args[0] + s[:, :1] * args[1] - s[:, 1:2] * args[2] - s[:, 2:] * args[3])
+    return np.vstack(planes)
+
+
+@lru_cache(maxsize=4)
+def _index_triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index triples i < j < k below m in lexicographic order, as three read-only arrays.
+
+    The first (m - 1)(m - 2)/2 of them are those with i = 0.
+    """
+    ijk = np.array(list(itertools.combinations(range(m), 3))).T.copy()
+    ijk.flags.writeable = False
+    return ijk[0], ijk[1], ijk[2]
+
+
+# (dx, dy): for 4-vectors g and h, g[dx] h[dy] - g[dy] h[dx] is the 4 x 4 Hodge dual of
+# g ^ h, and its product with a third vector k is a vector orthogonal to g, h and k
+_DUAL = (
+    ((0, 2, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0), (2, 0, 1, 3)),
+    ((0, 3, 1, 2), (2, 1, 3, 0), (3, 0, 2, 1), (1, 2, 0, 3)),
+)
+
+# The vertex enumeration's tolerances, on unit plane normals and points with a + b + c + d = 1
+_VERTEX_DET = 1e-13  # three planes whose determinant with the cut is smaller meet in no vertex
+_VERTEX_TOL = 1e-12  # a slack or side within this of 0 lies on its plane; vertices equal to 12 decimals are one
+
+
+def _ratio_infimum(e: Exponent, pts, constraints: np.ndarray, equality=None, balance: bool = True):
+    """Least max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) over a, b, c, d >= 0 with constraints @ x >= 0.
+
+    constraints is a (k, 4) array of normals, equality (optional) one more
+    normal with equality @ x == 0, pts = _t0_powers(e, t0), and balance adds
+    the F = G planes to _arrangement.  On a cell of the arrangement the ratio
+    is L / (M1^(1/p) M2^(1/q)) with L, M1 and M2 linear, and it has degree 0.
+    So in (u, v) = (M1/L, M2/L) its infimum over the cell is the least
+    u^(-1/p) v^(-1/q) over a polygon spanned by the images of the cell's
+    vertices, which is attained at a vertex or at a stationary point
+    s = -(du v1/p + dv u1/q)/(du dv) in (0, 1) of the segment between two of
+    them (concave-convex fractional programming: Dinkelbach 1967, Schaible 1976).
+
+    The vertices are the points of the cut a + b + c + d = 1 on three of the
+    planes (the equality, when given, always one of them) that meet every
+    constraint; two vertices share a cell when no arrangement plane strictly
+    separates them.  Returns (value, x, vertices, segments): the least ratio,
+    a point x with a + b + c + d = 1 where it is taken, the number of distinct
+    feasible vertices and the number of pairs that share a cell.  With no
+    feasible vertex it returns (inf, zeros, 0, 0).
+    """
+    head = [] if equality is None else [equality]
+    H = np.vstack([*head, np.eye(4), constraints, _arrangement(pts, balance)])
+    H /= np.sqrt((H * H).sum(axis=1, keepdims=True))
+    m, nc = len(H), len(head) + 4 + len(constraints)
+    i, j, k = _index_triples(m)
+    if equality is not None:
+        n = (m - 1) * (m - 2) // 2
+        i, j, k = i[:n], j[:n], k[:n]
+    # a vector orthogonal to planes i, j and k, for every triple at once
+    (dx, dy), g, h = _DUAL, H[i], H[j]
+    N = np.einsum("nlc,nc->nl", g[:, dx] * h[:, dy] - g[:, dy] * h[:, dx], H[k])
+    cut = N.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X = N / cut[:, None]
+        feasible = (np.abs(cut) > _VERTEX_DET) & (np.einsum("nc,kc->nk", X, H[:nc]) >= -_VERTEX_TOL).all(axis=1)
+    X = X[feasible]
+    if not len(X):
+        return math.inf, np.zeros(4), 0, 0
+    # one row per vertex: sort on the rounded coordinates, keep the first of each run
+    key = np.round(X, 12)
+    order = np.lexsort(key.T)
+    key = key[order]
+    first = np.ones(len(X), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    V = X[order[first]]
+
+    a, b, c, d = V.T
+    rp, rq = 1.0 / e.p, 1.0 / e.q
+    fg = np.maximum(_functional(a, b, c, d, *pts), _functional(d, c, b, a, *pts))
+    side = np.einsum("vc,kc->vk", V, H[nc:])
+    pos, neg = side > _VERTEX_TOL, side < -_VERTEX_TOL
+    clash = (pos[:, None, :] & neg[None, :, :]).any(axis=2)
+    I, J = np.nonzero(np.triu(~(clash | clash.T), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v = np.maximum(a + c, b + d) / fg, np.maximum(a + b, c + d) / fg
+        du, dv = u[J] - u[I], v[J] - v[I]
+        s = -(du * v[I] * rp + dv * u[I] * rq) / (du * dv)
+        s = np.where((s > 0.0) & (s < 1.0), s, np.nan)
+        ratio = np.concatenate((u, u[I] + s * du)) ** -rp * np.concatenate((v, v[I] + s * dv)) ** -rq
+    best = int(np.nanargmin(ratio))
+    if best < len(V):
+        x = V[best]
+    else:
+        q = best - len(V)
+        x = (1.0 - s[q]) * V[I[q]] / fg[I[q]] + s[q] * V[J[q]] / fg[J[q]]
+        x = x / x.sum()
+    return float(ratio[best]), x, len(V), len(I)
 
 
 def _fold01(x: np.ndarray) -> np.ndarray:
     """Reflect coordinates into [0, 1] (triangular wave with period 2)."""
     y = np.abs(np.asarray(x, dtype=float)) % 2.0
     return np.where(y > 1.0, 2.0 - y, y)
-
-
-def _claim_polish(claim_id: int, e: Exponent, pts: tuple[float, float, float], t2p: float, start: tuple):
-    """claim_id's penalized polish objective on Python floats, bound to one exponent, and its tracker.
-
-    objective(x) folds the search point x into the unit cube as _fold01 does,
-    takes the claim's entries (_claim3_entries) and least slack (_claim_slacks)
-    there, and returns 2.0 where every entry is below 1e-12, else the ratio
-    max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) (inf where that bound is 0)
-    plus 10 times the constraint violation.  Among the points with
-    slack >= -1e-12 it keeps the least ratio below start = (ratio, entries);
-    best() returns that (ratio, entries) and the number of calls.
-
-    The objective restates those float formulas with their IEEE operations in
-    their order, so it matches the array path bit for bit; the tests hold it
-    to a frozen copy of the helpers.  The exponent's constants are taken once
-    here, and max(F, G) is the larger numerator over 1 + t0^p, the same float
-    because division by a positive number is monotone.
-    """
-    t0, tp, tp1 = pts
-    rp, rq, s = 1.0 / e.p, 1.0 / e.q, 1.0 + tp
-    kappa = s / (tp1 + t0)
-    best_val, best_pt = start
-    evaluations = 0
-
-    def score(a, b, c, d, slack):
-        nonlocal evaluations, best_val, best_pt
-        evaluations += 1
-        if a < 1e-12 and b < 1e-12 and c < 1e-12 and d < 1e-12:
-            return 2.0
-        rt = max(a + c, b + d) ** rp * max(a + b, c + d) ** rq
-        if rt > 0.0:
-            val = max(abs(a - d * tp) + abs(b * t0 - c * tp1), abs(d - a * tp) + abs(c * t0 - b * tp1)) / s / rt
-        else:
-            val = math.inf
-        if slack >= -1e-12 and val < best_val:
-            best_val, best_pt = val, (a, b, c, d)
-        return val - 10.0 * slack if slack < 0.0 else val
-
-    # the claims' entries and slacks, each after the fold y = |v| mod 2, then 2 - y where y > 1
-    def claim1(x):
-        a, b, c, d = abs(x[0]) % 2.0, abs(x[1]) % 2.0, abs(x[2]) % 2.0, abs(x[3]) % 2.0
-        a, b = (2.0 - a if a > 1.0 else a), (2.0 - b if b > 1.0 else b)
-        c, d = (2.0 - c if c > 1.0 else c), (2.0 - d if d > 1.0 else d)
-        return score(a, b, c, d, min(b - c, (a + c) - (b + d)))
-
-    def claim2(x):
-        a, b, c, d = abs(x[0]) % 2.0, abs(x[1]) % 2.0, abs(x[2]) % 2.0, abs(x[3]) % 2.0
-        a, b = (2.0 - a if a > 1.0 else a), (2.0 - b if b > 1.0 else b)
-        c, d = (2.0 - c if c > 1.0 else c), (2.0 - d if d > 1.0 else d)
-        return score(a, b, c, d, min(d - a, (a + c) - (b + d), c * t2p - (c + a - d)))
-
-    def claim3(x):
-        a, c, d = abs(x[0]) % 2.0, abs(x[1]) % 2.0, abs(x[2]) % 2.0
-        a, c, d = (2.0 - a if a > 1.0 else a), (2.0 - c if c > 1.0 else c), (2.0 - d if d > 1.0 else d)
-        b = c - (d - a) * kappa
-        return score(a, b, c, d, min(d - a, b - c * t2p, b))
-
-    def best():
-        return best_val, best_pt, evaluations
-
-    return (claim1, claim2, claim3)[claim_id - 1], best
 
 
 def _halton(n: int, seed: int) -> np.ndarray:
@@ -317,105 +337,23 @@ def _halton(n: int, seed: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _nelder_mead(fn, x0, ftol: float = _NM_FTOL):
-    """Deterministic Nelder-Mead minimizer (reflect 1, expand 2, contract/shrink 0.5) on Python floats.
-
-    fn maps a list of n floats to a float, n = 3 or 4 (the claim polish's
-    dimensions); any other n raises ValueError.  Vertices are lists, not
-    arrays: on 3- and 4-vectors numpy's fixed cost per call outweighs the
-    arithmetic, and each objective must stay on floats anyway (numpy's array
-    power differs from libm pow on about 5% of inputs).  Each step does the
-    array form's arithmetic in the same order, so _nelder_mead_lockstep,
-    which steps numpy arrays, reproduces it bit for bit: the centroid sums
-    the first n vertices in sequence, (((x0 + x1) + x2) + x3) / n, as numpy's
-    mean(axis=0) does (sum() would not: it compensates rounding from Python
-    3.12 on), and the order is a stable sort's, kept after a step
-    that moves only the last vertex by moving it to bisect_right.
-    The centroid and the reflection, expansion and contraction points are
-    written out coordinate by coordinate for each of the two dimensions,
-    because as loops over the coordinates (zip, reduce) this bookkeeping cost
-    about as much per step as the objective it steers.
-    Returns the best vertex, as a list, and its value.
-    """
-    x0 = [float(v) for v in x0]
-    n = len(x0)
-    if n not in (3, 4):
-        raise ValueError(f"_nelder_mead minimizes over 3 or 4 coordinates, got {n}")
-    four = n == 4
-    simplex = [x0] + [x0[:i] + [x0[i] + _NM_STEP] + x0[i + 1 :] for i in range(n)]
-    vals = [fn(x) for x in simplex]
-
-    resort = True
-    for _ in range(_NM_MAX_ITER):
-        if resort:
-            order = sorted(range(n + 1), key=vals.__getitem__)
-            simplex = [simplex[i] for i in order]
-            vals = [vals[i] for i in order]
-            resort = False
-        else:
-            # only the last vertex moved: its stable-sort place is after its equals
-            k = bisect_right(vals, vals[-1], 0, n)
-            if k < n:
-                simplex.insert(k, simplex.pop())
-                vals.insert(k, vals.pop())
-        best = simplex[0]
-        if vals[-1] - vals[0] <= ftol and all(abs(v - b) <= 1e-8 for x in simplex[1:] for v, b in zip(x, best)):
-            break
-        # centroid g of all but the worst vertex w, and the reflection r
-        if four:
-            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3), (w0, w1, w2, w3) = simplex
-            g0, g1 = (((a0 + b0) + c0) + d0) / 4, (((a1 + b1) + c1) + d1) / 4
-            g2, g3 = (((a2 + b2) + c2) + d2) / 4, (((a3 + b3) + c3) + d3) / 4
-            r0, r1, r2, r3 = g0 + (g0 - w0), g1 + (g1 - w1), g2 + (g2 - w2), g3 + (g3 - w3)
-            xr = [r0, r1, r2, r3]
-        else:
-            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (w0, w1, w2) = simplex
-            g0, g1, g2 = ((a0 + b0) + c0) / 3, ((a1 + b1) + c1) / 3, ((a2 + b2) + c2) / 3
-            r0, r1, r2 = g0 + (g0 - w0), g1 + (g1 - w1), g2 + (g2 - w2)
-            xr = [r0, r1, r2]
-        fr = fn(xr)
-        if fr < vals[0]:
-            xe = [g0 + 2.0 * (g0 - w0), g1 + 2.0 * (g1 - w1), g2 + 2.0 * (g2 - w2)]
-            if four:
-                xe.append(g3 + 2.0 * (g3 - w3))
-            fe = fn(xe)
-            if fe < fr:
-                simplex[-1], vals[-1] = xe, fe
-            else:
-                simplex[-1], vals[-1] = xr, fr
-        elif fr < vals[-2]:
-            simplex[-1], vals[-1] = xr, fr
-        else:
-            # contract toward r when it beats w, else toward w
-            if not fr < vals[-1]:
-                r0, r1, r2 = w0, w1, w2
-                if four:
-                    r3 = w3
-            xc = [g0 + 0.5 * (r0 - g0), g1 + 0.5 * (r1 - g1), g2 + 0.5 * (r2 - g2)]
-            if four:
-                xc.append(g3 + 0.5 * (r3 - g3))
-            fc = fn(xc)
-            if fc < min(fr, vals[-1]):
-                simplex[-1], vals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = [b + 0.5 * (v - b) for b, v in zip(best, simplex[i])]
-                    vals[i] = fn(simplex[i])
-                resort = True
-    i = min(range(n + 1), key=vals.__getitem__)
-    return simplex[i], vals[i]
-
-
 def _nelder_mead_lockstep(fn, x0: np.ndarray):
-    """_nelder_mead, with its default settings, run from every row of x0 (shape (S, n)) at once.
+    """Deterministic Nelder-Mead (reflect 1, expand 2, contract and shrink 0.5) from every row of x0 at once.
 
-    fn maps a (k, n) array of points to their (k,) values.  Each iteration
-    makes at most three fn calls for all still-active starts: reflection,
-    expansion/contraction (disjoint sets), shrink.  Per start the arithmetic
-    is _nelder_mead's, so endpoints and values match it bit for bit.  The
-    simplices of the active starts are kept as compact arrays, sorted by
-    direct indexing; a start's simplex is written back once, when it stops or
-    at the iteration cap.
+    x0 has shape (S, n); each start's simplex is its row and that row plus
+    _NM_STEP along each axis.  Per iteration a start's vertices are
+    stable-sorted by value; it stops when the values spread by at most
+    _NM_FTOL and every vertex lies within 1e-8 of the best, else the worst
+    vertex is reflected through the centroid of the others and the step
+    expands, contracts (toward the reflection when that beats the worst
+    vertex, else toward the worst) or shrinks toward the best.  fn maps a
+    (k, n) array of points to their (k,) values.  Each iteration makes at most
+    three fn calls for all still-active starts: reflection,
+    expansion/contraction (disjoint sets), shrink.  No start's path depends on
+    another's, so each is the path a lone run takes; the tests hold it to a
+    scalar run on Python floats bit for bit.  The simplices of the active
+    starts are kept as compact arrays, sorted by direct indexing; a start's
+    simplex is written back once, when it stops or at the iteration cap.
     Returns the (S, n) endpoints and their (S,) values.
     """
     S, n = x0.shape
@@ -622,103 +560,71 @@ def estimate_index(e: Exponent, starts: int = 64, seed: int = 0, tol: float = 1e
     )
 
 
-def verify_claim_region(
-    claim_id: int,
-    e: Exponent,
-    grid_n: int = 12,
-    force: bool = False,
-) -> ClaimRegionReport:
+def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> ClaimRegionReport:
     """Minimize the lower-bound ratio over one claim region and compare to target.
 
-    Claims 1-2 sample the full (a, b, c, d) region on a grid_n-per-dimension
-    mesh of the unit cube (scale invariance makes normalization immaterial).
-    Claim 3 samples the F = G balanced manifold b = c - (d - a) kappa,
-    kappa = (1 + t0^p)/(t0^(p-1) + t0), over (a, c, d), including a dense trace
-    of the kink line a = d t0^p where the F numerator loses smoothness.  The
-    best feasible sample is polished by a penalized Nelder-Mead; only feasible
-    evaluations can become the reported infimum.  Out-of-hypothesis p raises
-    unless force=True.
+    The infimum of max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) over the
+    region is taken by _ratio_infimum's vertex enumeration: the region's
+    constraints (_claim_slacks, whose normals are their values at the unit
+    vectors) cut by the planes on whose cells the ratio has one closed form.
+    Claims 1-2 range over (a, b, c, d) >= 0; claim 3 over its F = G manifold
+    b = c - (d - a) kappa, kappa = (1 + t0^p)/(t0^(p-1) + t0), with d >= a,
+    b >= c t0^(2-p) and b >= 0.  That set lies inside the region
+    {d >= a, a + c >= b + d, c + a - d >= c t0^(2-p)} because kappa >= 1:
+    (1 + t^p) - (t^(p-1) + t) = (1 - t)(1 - t^(p-1)) >= 0.  For p < 2,
+    max(F, G) = F on it (G - F = (a - d t0^p) - |a - d t0^p| there), so its
+    enumeration needs no F = G planes.  Does the manifold reach the whole
+    region's infimum?  At p = 1.17064, 1.2, 1.35 and 1.5 the two agree
+    (tests/test_index.py, TestExactInfimum::test_claim3_manifold_reaches_the_region).
 
-    The grid's candidates do not depend on p (_claim_candidates): the nonzero
-    mesh points that meet the claim's p-independent constraints (all of claim
-    1's; claim 2's d >= a and a + c >= b + d), cached read-only per
-    (claim_id, grid_n).  Claim 3's kink traces depend on t0 and are appended
-    on each call.  Only the candidates that meet the remaining constraints
-    (_open_slacks: none for claim 1, so its candidates are scored without a
-    mask; claim 2's p-dependent one; all of claim 3's) are scored
-    (feasible_points of them); the polish starts from the first
-    one with the least ratio, or from the zero point at inf when none has a
-    finite ratio.  The float polish objective is bound once per call
-    (_claim_polish) and gives the array formulas' values bit for bit.  When
-    neither the grid nor the polish finds a feasible point, infimum_found is
-    inf, holds is False and worst_point is the zero operator.
-
-    Each claim has one set of constraints, used by the grid, the polish and the
-    report alike; feasibility_slack is their smallest slack at worst_point.
-    Claim 3 searches its manifold with d >= a, b >= c t0^(2-p) and b >= 0.  That
-    set lies inside the region {d >= a, a + c >= b + d, c + a - d >= c t0^(2-p)}
-    because kappa >= 1: (1 + t^p) - (t^(p-1) + t) = (1 - t)(1 - t^(p-1)) >= 0.
-    Whether the manifold covers all of claim 3's region is a question for the
-    paper's proof, not checked here; on a 25^4 grid of the full region no point
-    fell below the target by more than rounding (1.1e-16) at 13 exponents in
-    [1.2, 1.5].
+    infimum_found is alpha_ratio at worst_point, the enumeration's minimizer
+    scaled to max entry 1; vertices and segments count the distinct feasible
+    vertices and the vertex pairs that share a cell.  holds is
+    infimum_found >= target - 1e-12.  Three tolerances enter, on unit plane
+    normals and points with a + b + c + d = 1: three planes meet in a vertex
+    only where their determinant with the cut exceeds 1e-13; a slack or side
+    within 1e-12 of 0 counts as on its plane, for feasibility and for the
+    separation test; and vertices equal to 12 decimals are one.  This is
+    float64 arithmetic, exact up to those tolerances and rounding, not a
+    proof.  With no feasible
+    vertex, infimum_found is inf, holds is False and worst_point is the zero
+    operator.  feasibility_slack is the least slack of the claim's constraints
+    at worst_point.  Out-of-hypothesis p raises unless force=True.
     """
     if claim_id not in (1, 2, 3):
         raise ValueError(f"claim_id must be 1, 2 or 3, got {claim_id!r}")
-    if grid_n < 4:
-        raise ValueError(f"grid_n must be >= 4, got {grid_n}")
     lo, hi = _CLAIM_RANGES[claim_id]
-    p, q = e.p, e.q
+    p = e.p
     if not force and not (lo - RANGE_BAND <= p <= hi + RANGE_BAND and p > 1.0):
         raise ValueError(f"claim {claim_id} requires p in [{lo}, {hi}], got {p!r}")
 
     pts = t0, tp, tp1 = _t0_powers(e, compute_mp(e).t0)
     t2p = t0 ** (2.0 - p)
     target = (tp1 - t0) / (1.0 + tp)
-
-    # the grid's candidates, in search coordinates
-    X = _claim_candidates(claim_id, grid_n)
+    equality = None
     if claim_id == 3:
-        # kink traces a = d t0^p on both normalization charts max(c, d) = 1, so nonzero
-        line = np.linspace(0.0, 1.0, grid_n * grid_n + 1)
-        one = np.ones_like(line)
-        X = tuple(map(np.concatenate, ((X[0], line * tp, one * tp), (X[1], one, line), (X[2], line, one))))
-    a, b, c, d = _claim3_entries(X, pts) if claim_id == 3 else X
-    # score the feasible points only; the first least ratio is the grid's argmin
-    slacks = _open_slacks(claim_id, a, b, c, d, t2p)
-    if slacks:
-        feas = slacks[0] >= 0.0
-        for slack in slacks[1:]:
-            feas &= slack >= 0.0
-        a, b, c, d = a[feas], b[feas], c[feas], d[feas]
-    fg = np.maximum(_functional(a, b, c, d, *pts), _functional(d, c, b, a, *pts))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rt = np.maximum(a + c, b + d) ** (1.0 / p) * np.maximum(a + b, c + d) ** (1.0 / q)
-        ratio = np.where(rt > 0.0, fg / rt, np.inf)
-    start, x0 = (math.inf, (0.0, 0.0, 0.0, 0.0)), [0.0] * len(X)
-    k = int(np.argmin(ratio)) if a.size else 0
-    if a.size and ratio[k] != np.inf:
-        start = (float(ratio[k]), (float(a[k]), float(b[k]), float(c[k]), float(d[k])))
-        x0 = [float(x[k]) for x in ((a, c, d) if claim_id == 3 else (a, b, c, d))]
+        # b - c + (d - a) kappa = 0, from the manifold's b at the unit vectors of (a, c, d)
+        ka, kc, kd = _claim3_entries(np.eye(3), pts)[1]
+        equality = np.array([-ka, 1.0, -kc, -kd])
+    constraints = np.array(_claim_slacks(claim_id, *np.eye(4), t2p))
+    _, x, vertices, segments = _ratio_infimum(e, pts, constraints, equality, balance=claim_id != 3 or p >= 2.0)
 
-    # penalized local polish from the best grid point, tracking feasible evals
-    polish_obj, best = _claim_polish(claim_id, e, pts, t2p, start)
-    _nelder_mead(polish_obj, x0, ftol=1e-14)
-
-    best_val, best_pt, evaluations = best()
-    # m is 0 only when no feasible point was found and the zero start was kept
-    m = max(best_pt) or 1.0
-    worst = SignPatternOp(*(max(v, 0.0) / m for v in best_pt))
+    m = float(x.max())
+    if m > 0.0:
+        worst = SignPatternOp(*((v if v > 0.0 else 0.0) / m for v in x.tolist()))
+        value = alpha_ratio(worst, e, t0)
+    else:
+        worst, value = SignPatternOp(0.0, 0.0, 0.0, 0.0), math.inf
     return ClaimRegionReport(
         claim_id=claim_id,
         p=p,
-        infimum_found=best_val,
+        infimum_found=value,
         target=target,
-        holds=target - 1e-7 <= best_val < math.inf,
+        holds=target - 1e-12 <= value < math.inf,
         worst_point=worst,
         feasibility_slack=min(_claim_slacks(claim_id, *worst.as_tuple(), t2p)),
-        feasible_points=int(a.size),
-        evaluations=evaluations,
+        vertices=vertices,
+        segments=segments,
     )
 
 

@@ -34,9 +34,10 @@ def test_breakdown_scan_rejects_infinite_pmax():
     assert "Traceback" not in out.stderr
 
 
-def test_breakdown_scan_rejects_small_grid():
-    out = run_breakdown_scan("--grid-n", "3")
+def test_breakdown_scan_rejects_grid_n():
+    # each row is the region's infimum, not a grid search: there is no grid to size
+    out = run_breakdown_scan("--grid-n", "16")
     assert out.returncode == 2
     assert out.stdout == ""
-    assert "error: need grid-n >= 4, got 3" in out.stderr
+    assert "error: unrecognized arguments: --grid-n 16" in out.stderr
     assert "Traceback" not in out.stderr
