@@ -744,12 +744,6 @@ class TestClaimRegions:
             region = (d - a, (a + c) - (b + d), (c + a - d) - c * t2p)
             assert min(region) >= -1e-12
 
-    def test_verify_row_is_unchanged(self):
-        row = _verify_row(1.3)
-        assert set(row) == {"p", "lemma_margin", "lemma_ok", "ok"} | {
-            f"claim{c}_{k}" for c in (1, 2, 3) for k in ("gap", "ok")
-        }
-
 
 def _grid_infimum(claim_id, p, n):
     """The least lower-bound ratio over the feasible points of an n-per-axis mesh
@@ -773,6 +767,84 @@ def _claim3_region(p):
     """Normals of claim 3's whole region: d >= a, a + c >= b + d and c + a - d >= c t0^(2-p)."""
     t2p = t0_of(p) ** (2.0 - p)
     return np.array([[-1.0, 0.0, 0.0, 1.0], [1.0, -1.0, 1.0, -1.0], [1.0, 0.0, 1.0 - t2p, -1.0]])
+
+
+class TestClaimGridScoring:
+    """verify_claim_region's report against full meshes of the unit cube, and what it counts."""
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "p, force",
+        [(1.2, False), (1.25, False), (1.3, False), (1.4, False), (1.5, False), (1.05, True), (1.16, True),
+         (1.9, True)],
+    )
+    def test_matches_full_grid(self, claim_id, p, force):
+        # no point of any mesh lies below the reported infimum, and the
+        # reported witness is feasible and takes that value
+        e = make_exponent(p)
+        rep = verify_claim_region(claim_id, e, force=force)
+        for grid_n in (4, 5, 12, 16, 25):
+            assert _grid_infimum(claim_id, p, grid_n) >= rep.infimum_found - 1e-12
+        pts = _t0_powers(e, t0_of(p))
+        worst = rep.worst_point.as_tuple()
+        assert _ref_lower_ratio(*worst, e, pts) == pytest.approx(rep.infimum_found, abs=1e-15)
+        assert min(_ref_slacks(claim_id, *worst, pts[0] ** (2.0 - p))) >= -1e-12
+        assert rep.holds is (rep.infimum_found >= rep.target - 1e-12)
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    @pytest.mark.parametrize("patched", ["_claim_slacks", "_functional"])
+    def test_no_finite_ratio(self, monkeypatch, claim_id, patched):
+        # a constraint that only the zero operator meets, or F = inf at every
+        # vertex.  With no feasible vertex the report is inf, not holding, at
+        # the zero operator; with no finite ratio it is alpha_ratio at a
+        # feasible vertex, found without a warning
+        e = make_exponent(1.3)
+        ref = verify_claim_region(claim_id, e)
+
+        def on_the_arrays(fn):
+            def patched_fn(*args):
+                out = fn(*args)
+                if not isinstance(args[1], np.ndarray):
+                    return out
+                if patched == "_functional":
+                    return np.full_like(out, np.inf)
+                return out + (np.full_like(args[1], -1.0),)
+
+            return patched_fn
+
+        monkeypatch.setattr(index, patched, on_the_arrays(getattr(index, patched)))
+        rep = verify_claim_region(claim_id, e)
+        if patched == "_claim_slacks":
+            assert rep.infimum_found == math.inf and not rep.holds
+            assert rep.worst_point == SignPatternOp(0.0, 0.0, 0.0, 0.0)
+            assert (rep.vertices, rep.segments) == (0, 0)
+        else:
+            assert (rep.vertices, rep.segments) == (ref.vertices, ref.segments)
+            assert rep.feasibility_slack >= -1e-12
+            assert ref.infimum_found - 1e-12 <= rep.infimum_found < math.inf
+            assert rep.infimum_found == alpha_ratio(rep.worst_point, e, t0_of(1.3))
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    def test_counts(self, monkeypatch, claim_id):
+        # F and G are taken on arrays once each, at the distinct feasible vertices
+        sizes = []
+        functional = index._functional
+
+        def recording(a, *rest):
+            if isinstance(a, np.ndarray):
+                sizes.append(a.size)
+            return functional(a, *rest)
+
+        monkeypatch.setattr(index, "_functional", recording)
+        rep = verify_claim_region(claim_id, make_exponent(1.3))
+        assert sizes == [rep.vertices] * 2
+        assert (rep.vertices, rep.segments) == {1: (15, 59), 2: (7, 18), 3: (4, 5)}[claim_id]
+
+    def test_verify_row_is_unchanged(self):
+        row = _verify_row(1.3)
+        assert set(row) == {"p", "lemma_margin", "lemma_ok", "ok"} | {
+            f"claim{c}_{k}" for c in (1, 2, 3) for k in ("gap", "ok")
+        }
 
 
 class TestExactInfimum:
@@ -840,25 +912,49 @@ class TestExactInfimum:
         value = _ratio_infimum(e, _t0_powers(e, t0_of(p)), _claim3_region(p))[0]
         assert abs(verify_claim_region(3, e, force=True).infimum_found - value) <= 1e-15
 
-    def test_counts(self):
-        counts = [verify_claim_region(c, make_exponent(1.3)) for c in (1, 2, 3)]
-        assert [(r.vertices, r.segments) for r in counts] == [(15, 59), (7, 18), (4, 5)]
-
-    def test_no_feasible_vertex(self, monkeypatch):
+    def test_no_feasible_vertex(self):
+        # a constraint that only the zero operator meets; verify_claim_region's
+        # report for it is TestClaimGridScoring::test_no_finite_ratio's
         e = make_exponent(1.3)
         value, x, vertices, segments = _ratio_infimum(e, _t0_powers(e, t0_of(1.3)), -np.ones((1, 4)))
         assert (value, x.tolist(), vertices, segments) == (math.inf, [0.0] * 4, 0, 0)
-        # a constraint that only the zero operator meets, added to claim 2's
-        slacks = index._claim_slacks
 
-        def with_zero_only(claim_id, a, b, c, d, t2p):
-            return slacks(claim_id, a, b, c, d, t2p) + (-(a + b + c + d),)
 
-        monkeypatch.setattr(index, "_claim_slacks", with_zero_only)
-        rep = verify_claim_region(2, e)
-        assert rep.infimum_found == math.inf and not rep.holds
-        assert rep.worst_point == SignPatternOp(0.0, 0.0, 0.0, 0.0)
-        assert (rep.vertices, rep.segments) == (0, 0)
+class TestClaimMesh:
+    """The claim enumeration's one cache: the table of plane index triples."""
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    def test_read_only_and_reused(self, monkeypatch, claim_id):
+        # one table per plane count: 4 + 2 + 14 and 4 + 3 + 14 planes for
+        # claims 1-2, and 1 + 4 + 3 + 6 for claim 3 (its equality, and no F = G
+        # planes below p = 2)
+        sizes = []
+        triples = index._index_triples
+
+        def recording(m):
+            sizes.append(m)
+            return triples(m)
+
+        monkeypatch.setattr(index, "_index_triples", recording)
+        verify_claim_region(claim_id, make_exponent(1.3))
+        m = {1: 20, 2: 21, 3: 14}[claim_id]
+        assert sizes == [m]
+        ijk = _index_triples(m)
+        for x, ref in zip(ijk, zip(*itertools.combinations(range(m), 3)), strict=True):
+            assert not x.flags.writeable
+            assert x.tolist() == list(ref)
+        with pytest.raises(ValueError):
+            ijk[0][0] = 1
+        assert _index_triples(m) is ijk
+
+    def test_bounded(self):
+        maxsize = _index_triples.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for m in range(3, 3 + maxsize + 2):
+            _index_triples(m)
+        assert _index_triples.cache_info().currsize == maxsize
+        # the three claims' tables (1,140, 1,330 and 364 triples), far below a megabyte
+        assert sum(x.nbytes for m in (20, 21, 14) for x in _index_triples(m)) < 100_000
 
     def test_index_triples(self):
         i, j, k = _index_triples(7)

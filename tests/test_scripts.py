@@ -34,10 +34,11 @@ def test_breakdown_scan_rejects_infinite_pmax():
     assert "Traceback" not in out.stderr
 
 
-def test_breakdown_scan_rejects_grid_n():
-    # each row is the region's infimum, not a grid search: there is no grid to size
-    out = run_breakdown_scan("--grid-n", "16")
+def test_breakdown_scan_rejects_small_grid():
+    # each row is the region's infimum, not a grid search: there is no grid to
+    # size, so --grid-n of any size is rejected
+    out = run_breakdown_scan("--grid-n", "3")
     assert out.returncode == 2
     assert out.stdout == ""
-    assert "error: unrecognized arguments: --grid-n 16" in out.stderr
+    assert "error: unrecognized arguments: --grid-n 3" in out.stderr
     assert "Traceback" not in out.stderr
