@@ -25,6 +25,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
+import numpy as np
+
 from .core import DEFAULT_GRID_N, Mat2, make_exponent
 from .critical import HYPOTHESIS_RANGE, RANGE_BAND, compute_mp, lemma21_bounds
 from .index import SURROGATE_N, estimate_index, remark_counterexample, verify_claim_region
@@ -51,8 +53,8 @@ def _settings(tol: float, **used) -> dict:
     return {"tol": tol, "grid_n": DEFAULT_GRID_N, **used}
 
 
-def _print_json(command: str, settings: dict, result: dict) -> None:
-    print(json.dumps({"command": command, "settings": settings, "result": result}))
+def _print_json(command: str, settings: dict, **fields) -> None:
+    print(json.dumps({"command": command, "settings": settings, **fields}))
 
 
 def _workers() -> int:
@@ -98,15 +100,17 @@ def _fail(msg: str) -> int:
 def cmd_mp(args) -> int:
     e = make_exponent(args.p)
     cp = compute_mp(e, tol=args.tol)
-    _print_json("mp", _settings(args.tol), {"p": e.p, "q": e.q, **asdict(cp)})
+    _print_json("mp", _settings(args.tol), result={"p": e.p, "q": e.q, **asdict(cp)})
     return 0
 
 
 def cmd_operator(args) -> int:
     e = make_exponent(args.p)
     T = Mat2(args.a, args.b, args.c, args.d)
-    r = args.compute(T, e, tol=args.tol)
-    _print_json(args.command, _settings(args.tol), {"p": e.p, "matrix": asdict(T), **asdict(r)})
+    # entries near the largest double overflow in the objective: FloatingPointError, no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = args.compute(T, e, tol=args.tol)
+    _print_json(args.command, _settings(args.tol), result={"p": e.p, "matrix": asdict(T), **asdict(r)})
     return 0
 
 
@@ -114,13 +118,13 @@ def cmd_index(args) -> int:
     e = make_exponent(args.p)
     est = estimate_index(e, starts=args.starts, seed=args.seed, tol=args.tol)
     settings = _settings(args.tol, starts=args.starts, seed=args.seed, surrogate_n=SURROGATE_N)
-    _print_json("index", settings, asdict(est))
+    _print_json("index", settings, result=asdict(est))
     return 0
 
 
 def cmd_counterexample(args) -> int:
     rec = remark_counterexample(args.p)
-    _print_json("counterexample", _settings(DEFAULTS["tol"]), asdict(rec))
+    _print_json("counterexample", _settings(DEFAULTS["tol"]), result=asdict(rec))
     return 0
 
 
@@ -143,7 +147,7 @@ def _verify_row(p: float) -> dict:
 def cmd_verify(args) -> int:
     lo, hi = HYPOTHESIS_RANGE
     if not (lo - RANGE_BAND <= args.pmin <= args.pmax <= hi + RANGE_BAND):
-        return _fail(f"verify needs 6/5 <= pmin <= pmax <= 3/2, got [{args.pmin}, {args.pmax}]")
+        return _fail(f"verify needs {lo} <= pmin <= pmax <= {hi}, got [{args.pmin}, {args.pmax}]")
     if args.n < 1:
         return _fail(f"n must be >= 1, got {args.n}")
     ps = _grid(args.pmin, args.pmax, args.n)
@@ -167,32 +171,19 @@ def _sweep_row(item) -> dict:
     cp = compute_mp(e, tol=tol)
     est = estimate_index(e, starts=starts, seed=seed, tol=tol)
     lower = max(2.0 ** (-1.0 / e.p), 2.0 ** (-1.0 / e.q)) * cp.mp
-    return {
-        "p": p,
-        "q": e.q,
-        "t0": cp.t0,
-        "mp": cp.mp,
-        "lower_bound": lower,
-        "index_estimate": est.value,
-        "gap": est.gap,
-    }
+    return dict(zip(SWEEP_COLUMNS, (p, e.q, cp.t0, cp.mp, lower, est.value, est.gap)))
 
 
-def _write_sweep_csv(path: str, rows: list[dict]) -> None:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt17(row[col]) for col in SWEEP_COLUMNS))
+def _write_sweep(path: str, rows: list[dict], fmt: str) -> None:
+    """Write the rows as CSV lines or a JSON array, every cell a _fmt17 number."""
+    cells = [[_fmt17(row[col]) for col in SWEEP_COLUMNS] for row in rows]
+    if fmt == "json":
+        objs = ("  {" + ", ".join(f'"{col}": {x}' for col, x in zip(SWEEP_COLUMNS, r)) + "}" for r in cells)
+        text = "[\n" + ",\n".join(objs) + "\n]\n"
+    else:
+        text = "".join(",".join(r) + "\n" for r in [SWEEP_COLUMNS, *cells])
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_sweep_json(path: str, rows: list[dict]) -> None:
-    parts = []
-    for row in rows:
-        fields = ", ".join(f'"{col}": {_fmt17(row[col])}' for col in SWEEP_COLUMNS)
-        parts.append("  {" + fields + "}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("[\n" + ",\n".join(parts) + "\n]\n")
+        fh.write(text)
 
 
 def cmd_sweep(args) -> int:
@@ -202,32 +193,16 @@ def cmd_sweep(args) -> int:
         return _fail(f"pmax must be finite and >= pmin, got [{args.pmin}, {args.pmax}]")
     if args.n < 2:
         return _fail(f"n must be >= 2, got {args.n}")
-    out = args.out
-    if out is None:
-        out = "sweep.json" if args.format == "json" else "sweep.csv"
+    out = f"sweep.{args.format}" if args.out is None else args.out
     ps = _grid(args.pmin, args.pmax, args.n)
     rows = _pmap(_sweep_row, [(p, args.starts, args.seed, args.tol) for p in ps])
     try:
-        if args.format == "json":
-            _write_sweep_json(out, rows)
-        else:
-            _write_sweep_csv(out, rows)
+        _write_sweep(out, rows, args.format)
     except OSError as exc:
         return _fail(f"cannot write {out}: {exc}")
     max_gap = max(abs(row["gap"]) for row in rows)
     settings = _settings(args.tol, starts=args.starts, seed=args.seed, surrogate_n=SURROGATE_N)
-    print(
-        json.dumps(
-            {
-                "command": "sweep",
-                "settings": settings,
-                "rows": len(rows),
-                "out": out,
-                "format": args.format,
-                "max_abs_gap": max_gap,
-            }
-        )
-    )
+    _print_json("sweep", settings, rows=len(rows), out=out, format=args.format, max_abs_gap=max_gap)
     return 0
 
 
@@ -240,30 +215,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical radius, operator norms, and the numerical index of the real l_p plane.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # the options that several commands share, each declared once
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=DEFAULTS["tol"])
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--starts", type=int, default=DEFAULTS["starts"])
+    search.add_argument("--seed", type=int, default=DEFAULTS["seed"])
 
-    p_mp = sub.add_parser("mp", help="critical point t0 and value mp for one exponent")
+    p_mp = sub.add_parser("mp", parents=[tol], help="critical point t0 and value mp for one exponent")
     p_mp.add_argument("p", type=float)
-    p_mp.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     p_mp.set_defaults(fn=cmd_mp)
 
     for name, compute, hlp in (
         ("radius", numerical_radius, "numerical radius of (a b; c d)"),
         ("opnorm", op_norm, "operator norm of (a b; c d)"),
     ):
-        sp = sub.add_parser(name, help=hlp)
-        sp.add_argument("p", type=float)
-        sp.add_argument("a", type=float)
-        sp.add_argument("b", type=float)
-        sp.add_argument("c", type=float)
-        sp.add_argument("d", type=float)
-        sp.add_argument("--tol", type=float, default=DEFAULTS["tol"])
+        sp = sub.add_parser(name, parents=[tol], help=hlp)
+        for arg in ("p", "a", "b", "c", "d"):
+            sp.add_argument(arg, type=float)
         sp.set_defaults(fn=cmd_operator, compute=compute)
 
-    p_idx = sub.add_parser("index", help="estimate the numerical index at one exponent")
+    p_idx = sub.add_parser("index", parents=[search, tol], help="estimate the numerical index at one exponent")
     p_idx.add_argument("p", type=float)
-    p_idx.add_argument("--starts", type=int, default=DEFAULTS["starts"])
-    p_idx.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    p_idx.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     p_idx.set_defaults(fn=cmd_index)
 
     p_ver = sub.add_parser("verify", help="run the bracket and claim-region battery on a p-grid")
@@ -272,15 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, default=100)
     p_ver.set_defaults(fn=cmd_verify)
 
-    p_sw = sub.add_parser("sweep", help="tabulate t0, mp, and index estimates over a p-grid")
+    p_sw = sub.add_parser("sweep", parents=[search, tol], help="tabulate t0, mp, and index estimates over a p-grid")
     p_sw.add_argument("--pmin", type=float, default=1.2)
     p_sw.add_argument("--pmax", type=float, default=6.0)
     p_sw.add_argument("--n", type=int, default=25)
     p_sw.add_argument("--out", type=str, default=None)
     p_sw.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sw.add_argument("--starts", type=int, default=DEFAULTS["starts"])
-    p_sw.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    p_sw.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     p_sw.set_defaults(fn=cmd_sweep)
 
     p_ce = sub.add_parser("counterexample", help="evaluate the fixed breakdown matrix")
@@ -294,7 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         return _fail(str(exc))
 
 

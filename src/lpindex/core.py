@@ -250,8 +250,8 @@ def maximize_1d(objective: Callable, tol: float) -> BracketedMax:
     count includes the pre-scan's.  Deterministic: identical inputs give
     identical outputs.  Non-finite objective values raise FloatingPointError.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     best_t, best_y, a, b = _prescan(objective)
     evals = _GRID.size
     w = [hi - lo for lo, hi in zip(a, b)]

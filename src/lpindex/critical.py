@@ -112,8 +112,8 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
     so one entry is enough.  The cache key is the call as spelled:
     compute_mp(e) and compute_mp(e, tol=1e-10) are separate entries.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     p = e.p
     if p == 2.0:
         return CriticalPoint(p=p, t0=0.0, mp=0.0, derivative_residual=0.0, degenerate=True)

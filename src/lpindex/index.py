@@ -14,7 +14,7 @@ candidate is re-evaluated at tight tolerance before reporting.
 
 verify_claim_region computes the infimum of the closed-form lower-bound ratio
 max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) over three constrained operator
-regions and compares it with the target (t0^(p-1) - t0)/(1 + t0^p).  The
+regions and compares it with the target, M_p's objective at t0.  The
 numerator is piecewise linear, the denominator a weighted geometric mean of
 two linear forms and every constraint linear, so the infimum is taken at a
 vertex of a small plane arrangement or at a closed-form point of a segment
@@ -32,9 +32,9 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Exponent, Mat2, SpherePowers, make_exponent
-from .critical import HYPOTHESIS_RANGE, RANGE_BAND, compute_mp
+from .critical import HYPOTHESIS_RANGE, RANGE_BAND, compute_mp, objective
 from .norms import lp_pair, op_norm, riesz_thorin_bound
-from .radius import numerical_radius
+from .radius import branch_value, numerical_radius
 
 _CLAIM_RANGES = {1: (1.0, HYPOTHESIS_RANGE[1]), 2: (1.0, HYPOTHESIS_RANGE[1]), 3: HYPOTHESIS_RANGE}
 
@@ -137,22 +137,22 @@ def _t0_powers(e: Exponent, t0: float) -> tuple[float, float, float]:
     return t0, t0**e.p, t0 ** (e.p - 1.0)
 
 
-def _functional(a, b, c, d, t, tp, tp1):
-    """F of (a b; -c -d) at t, given tp = t^p and tp1 = t^(p-1); elementwise on floats or arrays.
-
-    G is F of the swapped entries: G(a, b, c, d) = _functional(d, c, b, a, ...).
-    """
-    return (abs(a - d * tp) + abs(b * t - c * tp1)) / (1.0 + tp)
-
-
 def functional_F(T: SignPatternOp, e: Exponent, t0: float) -> float:
-    """(|a - d t0^p| + |b t0 - c t0^(p-1)|) / (1 + t0^p)."""
-    return _functional(T.a, T.b, T.c, T.d, *_t0_powers(e, t0))
+    """(|a - d t0^p| + |b t0 - c t0^(p-1)|) / (1 + t0^p), branch_value at (a, b, -c, -d).
+
+    F and G are v(T)'s two branch integrands at t0, so max(F, G) <= v(T) by
+    construction.  The claim target they are held to is M_p's objective at t0, for every p.
+    """
+    return branch_value(T.a, T.b, -T.c, -T.d, *_t0_powers(e, t0))
 
 
 def functional_G(T: SignPatternOp, e: Exponent, t0: float) -> float:
-    """(|d - a t0^p| + |c t0 - b t0^(p-1)|) / (1 + t0^p)."""
-    return _functional(T.d, T.c, T.b, T.a, *_t0_powers(e, t0))
+    """(|d - a t0^p| + |c t0 - b t0^(p-1)|) / (1 + t0^p), branch_value at (d, c, -b, -a).
+
+    v(T)'s second branch integrand at t0 (F is the first), so G <= v(T) by construction; the claim
+    target is M_p's objective at t0, for every p.
+    """
+    return branch_value(T.d, T.c, -T.b, -T.a, *_t0_powers(e, t0))
 
 
 def alpha_ratio(T: SignPatternOp, e: Exponent, t0: float) -> float:
@@ -285,7 +285,7 @@ def _ratio_infimum(e: Exponent, pts, constraints: np.ndarray, equality=None, bal
 
     a, b, c, d = V.T
     rp, rq = 1.0 / e.p, 1.0 / e.q
-    fg = np.maximum(_functional(a, b, c, d, *pts), _functional(d, c, b, a, *pts))
+    fg = np.maximum(branch_value(a, b, -c, -d, *pts), branch_value(d, c, -b, -a, *pts))
     side = np.einsum("vc,kc->vk", V, H[nc:])
     pos, neg = side > _VERTEX_TOL, side < -_VERTEX_TOL
     clash = (pos[:, None, :] & neg[None, :, :]).any(axis=2)
@@ -430,7 +430,9 @@ class _RatioSearch:
     product runs one short loop per row; einsum adds each product to a
     zeroed output, the same float for these inputs >= 0.  max(F, G) is the
     larger numerator divided once by 1 + t^p, the same float as the larger
-    quotient because division by a positive number is monotone.
+    quotient because division by a positive number is monotone.  F and G are
+    radius.branch_value of (a b; -c -d) and of its swap; this is that formula
+    computed in batches in the workspace.
     """
 
     def __init__(self, e: Exponent):
@@ -577,6 +579,7 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
     region's infimum?  At p = 1.17064, 1.2, 1.35 and 1.5 the two agree
     (tests/test_index.py, TestExactInfimum::test_claim3_manifold_reaches_the_region).
 
+    target is M_p, critical.objective at t0, for every p.
     infimum_found is alpha_ratio at worst_point, the enumeration's minimizer
     scaled to max entry 1; vertices and segments count the distinct feasible
     vertices and the vertex pairs that share a cell.  holds is
@@ -598,9 +601,10 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
     if not force and not (lo - RANGE_BAND <= p <= hi + RANGE_BAND and p > 1.0):
         raise ValueError(f"claim {claim_id} requires p in [{lo}, {hi}], got {p!r}")
 
-    pts = t0, tp, tp1 = _t0_powers(e, compute_mp(e).t0)
+    t0 = compute_mp(e).t0
+    pts = _t0_powers(e, t0)
     t2p = t0 ** (2.0 - p)
-    target = (tp1 - t0) / (1.0 + tp)
+    target = float(objective(t0, e))
     equality = None
     if claim_id == 3:
         # b - c + (d - a) kappa = 0, from the manifold's b at the unit vectors of (a, c, d)

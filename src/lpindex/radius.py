@@ -42,8 +42,13 @@ def conjugate_by_swap(T: Mat2) -> Mat2:
     return Mat2(T.d, T.c, T.b, T.a)
 
 
+def branch_value(a, b, c, d, t, tp, tp1):
+    """(|a + d t^p| + |b t + c t^(p-1)|)/(1 + t^p) for (a b; c d), tp = t^p, tp1 = t^(p-1); floats or arrays."""
+    return (abs(a + d * tp) + abs(b * t + c * tp1)) / (1.0 + tp)
+
+
 def branch_integrand(T: Mat2, e: Exponent):
-    """First-branch integrand t -> (|a + d t^p| + |b t + c t^(p-1)|)/(1 + t^p).
+    """First-branch integrand t -> branch_value(a, b, c, d, t, t^p, t^(p-1)) of T, on arrays.
 
     At t = 0 the t^(p-1) term vanishes (p > 1), so the value is exactly |a|.
     The second branch is this integrand applied to the swap-conjugated matrix.
@@ -53,7 +58,7 @@ def branch_integrand(T: Mat2, e: Exponent):
 
     def f(t):
         pw = sphere_powers(t, p)
-        return (np.abs(a + d * pw.tp) + np.abs(b * t + c * pw.tp1)) / (1.0 + pw.tp)
+        return branch_value(a, b, c, d, t, pw.tp, pw.tp1)
 
     return f
 

@@ -196,6 +196,11 @@ def test_result_is_the_library_dataclass(capsys, argv, expected):
         ["radius", "1.5", "inf", "1", "-1", "0"],
         ["opnorm", "1.5", "1", "nan", "0", "1"],
         ["sweep", "--pmax", "inf"],
+        ["radius", "1.3", "1e308", "1e308", "1e308", "1e308"],
+        ["opnorm", "1.3", "1e308", "1e308", "1e308", "1e308"],
+        ["mp", "1.5", "--tol", "inf"],
+        ["radius", "1.5", "0", "1", "-1", "0", "--tol", "inf"],
+        ["index", "3", "--starts", "2", "--tol", "inf"],
     ],
 )
 def test_invalid_input_exits_2(capsys, argv):
@@ -254,7 +259,7 @@ class TestVerify:
         assert rows == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: verify needs 6/5 <= pmin <= pmax <= 3/2, got ")
+        assert captured.err.startswith("error: verify needs 1.2 <= pmin <= pmax <= 1.5, got ")
 
 
 class TestSweep:

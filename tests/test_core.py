@@ -111,7 +111,7 @@ class TestMaximize1d:
         assert maximize_1d(f, 1e-12) == maximize_1d(f, 1e-12)
 
     def test_invalid_grid_and_tol(self):
-        for tol in (0.0, -1e-10, math.nan):
+        for tol in (0.0, -1e-10, math.nan, math.inf):
             with pytest.raises(ValueError):
                 maximize_1d(lambda t: t, tol)
 

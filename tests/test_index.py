@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 import lpindex
 from lpindex import (
+    REMARK_ENTRIES,
     Mat2,
     SignPatternOp,
     alpha_ratio,
     claim3_balance_b,
     compute_mp,
+    conjugate_by_swap,
     estimate_index,
     functional_F,
     functional_G,
@@ -34,6 +36,7 @@ from lpindex import (
 )
 from lpindex import index
 from lpindex.cli import _verify_row
+from lpindex.radius import branch_integrand
 from lpindex.index import (
     SURROGATE_N,
     _claim_slacks,
@@ -90,6 +93,19 @@ class TestFunctionals:
         assert functional_G(SignPatternOp(1, 0, 0, 1), e, t0) == pytest.approx(
             (1.0 - tp) / (1.0 + tp), rel=1e-15
         )
+
+    @pytest.mark.parametrize("p", [1.3, 3.0])
+    def test_are_the_radius_branch_integrands(self, p):
+        # F and G are v(T)'s two branch integrands at t0, so max(F, G) <= v(T)
+        e = make_exponent(p)
+        t0 = t0_of(p)
+        for T in (ROTATION_PATTERN, SignPatternOp(0.3, 1.0, 0.8, 0.1), SignPatternOp(*REMARK_ENTRIES)):
+            M = T.to_mat2()
+            first = branch_integrand(M, e)(np.array([t0])).item()
+            second = branch_integrand(conjugate_by_swap(M), e)(np.array([t0])).item()
+            assert functional_F(T, e, t0) == pytest.approx(first, rel=1e-14)
+            assert functional_G(T, e, t0) == pytest.approx(second, rel=1e-14)
+            assert max(first, second) <= numerical_radius(M, e).value + 1e-12
 
     def test_rejects_t0_outside_unit_interval(self):
         e = make_exponent(1.3)
@@ -792,7 +808,7 @@ class TestClaimGridScoring:
         assert rep.holds is (rep.infimum_found >= rep.target - 1e-12)
 
     @pytest.mark.parametrize("claim_id", [1, 2, 3])
-    @pytest.mark.parametrize("patched", ["_claim_slacks", "_functional"])
+    @pytest.mark.parametrize("patched", ["_claim_slacks", "branch_value"])
     def test_no_finite_ratio(self, monkeypatch, claim_id, patched):
         # a constraint that only the zero operator meets, or F = inf at every
         # vertex.  With no feasible vertex the report is inf, not holding, at
@@ -806,7 +822,7 @@ class TestClaimGridScoring:
                 out = fn(*args)
                 if not isinstance(args[1], np.ndarray):
                     return out
-                if patched == "_functional":
+                if patched == "branch_value":
                     return np.full_like(out, np.inf)
                 return out + (np.full_like(args[1], -1.0),)
 
@@ -828,14 +844,14 @@ class TestClaimGridScoring:
     def test_counts(self, monkeypatch, claim_id):
         # F and G are taken on arrays once each, at the distinct feasible vertices
         sizes = []
-        functional = index._functional
+        functional = index.branch_value
 
         def recording(a, *rest):
             if isinstance(a, np.ndarray):
                 sizes.append(a.size)
             return functional(a, *rest)
 
-        monkeypatch.setattr(index, "_functional", recording)
+        monkeypatch.setattr(index, "branch_value", recording)
         rep = verify_claim_region(claim_id, make_exponent(1.3))
         assert sizes == [rep.vertices] * 2
         assert (rep.vertices, rep.segments) == {1: (15, 59), 2: (7, 18), 3: (4, 5)}[claim_id]
@@ -903,6 +919,18 @@ class TestExactInfimum:
         assert abs(value - cp.mp) <= 1e-15
         assert abs(x.sum() - 1.0) <= 1e-15 and (x >= -1e-12).all()
         assert vertices > 0 and segments > 0
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2.5, 3.0, 6.0])
+    def test_forced_target_above_two_is_mp(self, claim_id, p):
+        # the target is M_p, critical.objective at t0, above p = 2 as below
+        # (where t0^(p-1) - t0 turns negative); claims 1-2 sit at M_p, claim 3 above it
+        e = make_exponent(p)
+        rep = verify_claim_region(claim_id, e, force=True)
+        assert abs(rep.target - compute_mp(e).mp) <= 1e-15
+        assert rep.target > 0.0
+        assert rep.infimum_found >= rep.target - 1e-12
+        assert rep.holds
 
     @pytest.mark.parametrize("p", [1.17064, 1.2, 1.35, 1.5])
     def test_claim3_manifold_reaches_the_region(self, p):
