@@ -109,7 +109,10 @@ def cmd_operator(args) -> int:
     T = Mat2(args.a, args.b, args.c, args.d)
     # entries near the largest double overflow in the objective: FloatingPointError, no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        r = args.compute(T, e, tol=args.tol)
+        try:
+            r = args.compute(T, e, tol=args.tol)
+        except FloatingPointError as exc:
+            return _fail(f"the entries overflow float64: {exc}")
     _print_json(args.command, _settings(args.tol), result={"p": e.p, "matrix": asdict(T), **asdict(r)})
     return 0
 

@@ -121,7 +121,7 @@ def _evaluate(objective: Callable, ts: np.ndarray) -> np.ndarray:
         raise TypeError(f"objective must map an array of shape {ts.shape} to the same shape")
     if not np.isfinite(ys).all():
         bad = ts[~np.isfinite(ys)][0]
-        raise FloatingPointError(f"objective returned non-finite value at t={bad!r}")
+        raise FloatingPointError(f"objective returned non-finite value at t={float(bad)!r}")
     return ys
 
 

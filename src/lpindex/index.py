@@ -51,6 +51,10 @@ _NM_FTOL = 1e-11
 # Outer product of a column and a grid, written with np.einsum into a workspace buffer
 _OUTER = "i,j->ij"
 
+# The signs of the last three |.| arguments in _arrangement's F = G planes, one row per plane
+_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+_SIGNS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class SignPatternOp:
@@ -208,32 +212,67 @@ def _arrangement(pts: tuple[float, float, float], balance: bool) -> np.ndarray:
     args = np.array([[1.0, 0.0, 0.0, -tp], [0.0, t0, -tp1, 0.0], [-tp, 0.0, 0.0, 1.0], [0.0, -tp1, t0, 0.0]])
     planes = [args, np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])]
     if balance:
-        s = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        s = _SIGNS
         planes.append(args[0] + s[:, :1] * args[1] - s[:, 1:2] * args[2] - s[:, 2:] * args[3])
     return np.vstack(planes)
 
 
 @lru_cache(maxsize=4)
-def _index_triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index triples i < j < k below m in lexicographic order, as three read-only arrays.
+def _pair_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The plane pairs i < j and triples i < j < k below m, in lexicographic order, as four read-only arrays.
 
-    The first (m - 1)(m - 2)/2 of them are those with i = 0.
+    Returns (i, j, pair, k): each pair's two planes, and each triple's pair
+    (its position in i and j) and third plane.  The first m - 1 pairs and the
+    first (m - 1)(m - 2)/2 triples are those with i = 0.
     """
-    ijk = np.array(list(itertools.combinations(range(m), 3))).T.copy()
-    ijk.flags.writeable = False
-    return ijk[0], ijk[1], ijk[2]
+    pairs = list(itertools.combinations(range(m), 2))
+    rank = {ij: n for n, ij in enumerate(pairs)}
+    pair_k = [(rank[i, j], k) for i, j, k in itertools.combinations(range(m), 3)]
+    ij, pk = (np.array(x, dtype=np.intp).reshape(-1, 2).T.copy() for x in (pairs, pair_k))
+    ij.flags.writeable = pk.flags.writeable = False
+    return ij[0], ij[1], pk[0], pk[1]
 
 
 # (dx, dy): for 4-vectors g and h, g[dx] h[dy] - g[dy] h[dx] is the 4 x 4 Hodge dual of
 # g ^ h, and its product with a third vector k is a vector orthogonal to g, h and k
-_DUAL = (
-    ((0, 2, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0), (2, 0, 1, 3)),
-    ((0, 3, 1, 2), (2, 1, 3, 0), (3, 0, 2, 1), (1, 2, 0, 3)),
+_DUAL = np.array(
+    (
+        ((0, 2, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0), (2, 0, 1, 3)),
+        ((0, 3, 1, 2), (2, 1, 3, 0), (3, 0, 2, 1), (1, 2, 0, 3)),
+    )
 )
+_DUAL.flags.writeable = False
 
 # The vertex enumeration's tolerances, on unit plane normals and points with a + b + c + d = 1
 _VERTEX_DET = 1e-13  # three planes whose determinant with the cut is smaller meet in no vertex
 _VERTEX_TOL = 1e-12  # a slack or side within this of 0 lies on its plane; vertices equal to 12 decimals are one
+
+
+def _solve_triples(H: np.ndarray, prefix: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The point of the cut a + b + c + d = 1 on planes i, j and k of H, for each triple of _pair_table(len(H)).
+
+    Returns (cut, X): each triple's determinant with the cut, shape
+    (triples,), and its point, shape (triples, 4), inf or nan where cut is 0.
+    With prefix, only the triples with i = 0.  _ratio_infimum states the
+    order of the sums.
+    """
+    m = len(H)
+    i, j, pair, k = _pair_table(m)
+    if prefix:
+        n = (m - 1) * (m - 2) // 2
+        i, j, pair, k = i[: m - 1], j[: m - 1], pair[:n], k[:n]
+    # D[l, c] holds entry (l, c) of every pair's dual, N[l] coordinate l of every triple's normal
+    (dx, dy), g, h = _DUAL, H.take(i, axis=0).T, H.take(j, axis=0).T
+    D = g[dx] * h[dy] - g[dy] * h[dx]
+    K = H.T.take(k, axis=1)
+    N = D[:, 0].take(pair, axis=1) * K[0]
+    N += 0.0
+    for c in (1, 2, 3):
+        N += D[:, c].take(pair, axis=1) * K[c]
+    cut = ((N[0] + N[1]) + N[2]) + N[3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        N /= cut
+    return cut, N.T.copy()
 
 
 def _ratio_infimum(e: Exponent, pts, constraints: np.ndarray, equality=None, balance: bool = True):
@@ -252,25 +291,28 @@ def _ratio_infimum(e: Exponent, pts, constraints: np.ndarray, equality=None, bal
     The vertices are the points of the cut a + b + c + d = 1 on three of the
     planes (the equality, when given, always one of them) that meet every
     constraint; two vertices share a cell when no arrangement plane strictly
-    separates them.  Returns (value, x, vertices, segments): the least ratio,
-    a point x with a + b + c + d = 1 where it is taken, the number of distinct
-    feasible vertices and the number of pairs that share a cell.  With no
-    feasible vertex it returns (inf, zeros, 0, 0).
+    separates them.  A triple's normal is its pair's 4 x 4 Hodge dual, formed
+    once per pair of planes, times the third plane's normal.  With p_c the
+    dual's column c times the third normal's coordinate c, it is summed as
+    (((0.0 + p_0) + p_1) + p_2) + p_3; the leading +0.0 turns a -0.0 product
+    into +0.0.  np.einsum("nlc,nc->nl") sums in that order on strided
+    operands but as (p_0 + p_2) + (p_1 + p_3) on contiguous ones, so its bits
+    depend on memory layout; writing the sum out pins the order.  The
+    determinant with the cut, the sum of the normal's coordinates N_l, is
+    likewise ((N_0 + N_1) + N_2) + N_3, the order of numpy's sum along a
+    contiguous row of four.
+
+    Returns (value, x, vertices, segments): the least ratio, a point x with
+    a + b + c + d = 1 where it is taken, the number of distinct feasible
+    vertices and the number of pairs that share a cell.  With no feasible
+    vertex it returns (inf, zeros, 0, 0).
     """
     head = [] if equality is None else [equality]
     H = np.vstack([*head, np.eye(4), constraints, _arrangement(pts, balance)])
     H /= np.sqrt((H * H).sum(axis=1, keepdims=True))
-    m, nc = len(H), len(head) + 4 + len(constraints)
-    i, j, k = _index_triples(m)
-    if equality is not None:
-        n = (m - 1) * (m - 2) // 2
-        i, j, k = i[:n], j[:n], k[:n]
-    # a vector orthogonal to planes i, j and k, for every triple at once
-    (dx, dy), g, h = _DUAL, H[i], H[j]
-    N = np.einsum("nlc,nc->nl", g[:, dx] * h[:, dy] - g[:, dy] * h[:, dx], H[k])
-    cut = N.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        X = N / cut[:, None]
+    nc = len(head) + 4 + len(constraints)
+    cut, X = _solve_triples(H, equality is not None)
+    with np.errstate(invalid="ignore"):
         feasible = (np.abs(cut) > _VERTEX_DET) & (np.einsum("nc,kc->nk", X, H[:nc]) >= -_VERTEX_TOL).all(axis=1)
     X = X[feasible]
     if not len(X):

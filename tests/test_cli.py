@@ -208,6 +208,9 @@ def test_invalid_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert "np.float64(" not in captured.err
+    if "1e308" in argv:
+        assert captured.err.startswith("error: the entries overflow float64: ")
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

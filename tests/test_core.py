@@ -126,7 +126,7 @@ class TestMaximize1d:
         def f(t):
             return np.where(t > 0.5, math.inf, t)
 
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match=r"non-finite value at t=0\.500244140625$"):
             maximize_1d(f, 1e-6)
 
     def test_narrow_peak_beats_broad_mode(self):

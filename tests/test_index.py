@@ -35,19 +35,20 @@ from lpindex import (
     verify_claim_region,
 )
 from lpindex import index
-from lpindex.cli import _verify_row
+from lpindex.cli import _grid, _verify_row
 from lpindex.radius import branch_integrand
 from lpindex.index import (
     SURROGATE_N,
     _claim_slacks,
     _fold01,
     _halton,
-    _index_triples,
     _nelder_mead_lockstep,
+    _pair_table,
     _NM_MAX_ITER,
     _NM_STEP,
     _ratio_infimum,
     _RatioSearch,
+    _solve_triples,
     _t0_powers,
 )
 
@@ -948,8 +949,92 @@ class TestExactInfimum:
         assert (value, x.tolist(), vertices, segments) == (math.inf, [0.0] * 4, 0, 0)
 
 
+def _frozen_solve(H, prefix):
+    """Each triple's determinant with the cut and its point on the cut, from one np.einsum over
+    its own (4, 4) Hodge dual, for the triples i < j < k of H's rows in lexicographic order
+    (with prefix, those with i = 0)."""
+    m = len(H)
+    i, j, k = np.array(list(itertools.combinations(range(m), 3))).T.copy()
+    if prefix:
+        n = (m - 1) * (m - 2) // 2
+        i, j, k = i[:n], j[:n], k[:n]
+    dx = ((0, 2, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0), (2, 0, 1, 3))
+    dy = ((0, 3, 1, 2), (2, 1, 3, 0), (3, 0, 2, 1), (1, 2, 0, 3))
+    g, h = H[i], H[j]
+    N = np.einsum("nlc,nc->nl", g[:, dx] * h[:, dy] - g[:, dy] * h[:, dx], H[k])
+    cut = N.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return cut, N / cut[:, None]
+
+
+def _claim_solves(monkeypatch, ps, force):
+    """(H, prefix, cut, X) of every _solve_triples call that claims 1-3 make at the exponents ps."""
+    calls = []
+    solve = index._solve_triples
+
+    def recording(H, prefix):
+        cut, X = solve(H, prefix)
+        calls.append((H.copy(), prefix, cut, X))
+        return cut, X
+
+    monkeypatch.setattr(index, "_solve_triples", recording)
+    for p in ps:
+        for claim_id in (1, 2, 3):
+            verify_claim_region(claim_id, make_exponent(p), force=force)
+    return calls
+
+
+def _same_bits(got, ref):
+    """Two (cut, X) pairs hold the same floats bit for bit, signed zeros and nan payloads included."""
+    return all(
+        x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(got, ref)
+    )
+
+
+class TestSolveMatchesFrozen:
+    """The per-pair solve gives the per-triple einsum form's floats bit for bit."""
+
+    @pytest.mark.parametrize(
+        "ps, force", [(_grid(1.2, 1.5, 100), False), (np.linspace(1.05, 6.0, 101).tolist(), True)],
+        ids=["verify-grid", "forced-1.05-6"],
+    )
+    def test_claim_planes(self, monkeypatch, ps, force):
+        calls = _claim_solves(monkeypatch, ps, force)
+        assert len(calls) == 3 * len(ps)
+        # claim 3 alone has an equality; above p = 2 it takes the F = G planes too
+        assert {(len(H), prefix) for H, prefix, *_ in calls} >= {(20, False), (21, False), (14, True)}
+        for H, prefix, *got in calls:
+            assert _same_bits(got, _frozen_solve(H, prefix))
+
+    def test_equality_prefix(self, monkeypatch):
+        # the prefix is the full table's first (m - 1)(m - 2)/2 triples, those with i = 0
+        calls = _claim_solves(monkeypatch, [1.2, 1.3, 1.5, 2.5, 6.0], True)
+        prefixed = [(H, got) for H, prefix, *got in calls if prefix]
+        assert len(prefixed) == 5
+        for H, got in prefixed:
+            m = len(H)
+            assert len(got[0]) == (m - 1) * (m - 2) // 2
+            assert _same_bits(got, [x[: len(got[0])] for x in _solve_triples(H, False)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_planes_with_exact_zeros(self, seed):
+        # entries of +-0.0 make -0.0 products and degenerate triples (cut 0, X inf or nan)
+        rng = np.random.default_rng(seed)
+        zeros = degenerate = 0
+        for m in range(3, 23):
+            H = rng.standard_normal((m, 4))
+            H[rng.random((m, 4)) < 0.4] = 0.0
+            H[rng.random((m, 4)) < 0.2] *= -1.0
+            for prefix in (False, True):
+                cut, X = ref = _frozen_solve(H, prefix)
+                assert _same_bits(_solve_triples(H, prefix), ref)
+            zeros += int((X == 0.0).sum())
+            degenerate += int((cut == 0.0).sum())
+        assert zeros > 100 and degenerate > 10
+
+
 class TestClaimMesh:
-    """The claim enumeration's one cache: the table of plane index triples."""
+    """The claim enumeration's one cache: the table of plane pairs and triples."""
 
     @pytest.mark.parametrize("claim_id", [1, 2, 3])
     def test_read_only_and_reused(self, monkeypatch, claim_id):
@@ -957,42 +1042,59 @@ class TestClaimMesh:
         # claims 1-2, and 1 + 4 + 3 + 6 for claim 3 (its equality, and no F = G
         # planes below p = 2)
         sizes = []
-        triples = index._index_triples
+        table = index._pair_table
 
         def recording(m):
             sizes.append(m)
-            return triples(m)
+            return table(m)
 
-        monkeypatch.setattr(index, "_index_triples", recording)
+        monkeypatch.setattr(index, "_pair_table", recording)
         verify_claim_region(claim_id, make_exponent(1.3))
         m = {1: 20, 2: 21, 3: 14}[claim_id]
         assert sizes == [m]
-        ijk = _index_triples(m)
-        for x, ref in zip(ijk, zip(*itertools.combinations(range(m), 3)), strict=True):
+        arrays = i, j, pair, k = _pair_table(m)
+        assert list(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(m), 2))
+        assert list(zip(i[pair].tolist(), j[pair].tolist(), k.tolist())) == list(itertools.combinations(range(m), 3))
+        for x in arrays:
             assert not x.flags.writeable
-            assert x.tolist() == list(ref)
-        with pytest.raises(ValueError):
-            ijk[0][0] = 1
-        assert _index_triples(m) is ijk
+            with pytest.raises(ValueError):
+                x[0] = 1
+        assert _pair_table(m) is arrays
 
     def test_bounded(self):
-        maxsize = _index_triples.cache_info().maxsize
+        maxsize = _pair_table.cache_info().maxsize
         assert maxsize is not None and maxsize <= 8
         for m in range(3, 3 + maxsize + 2):
-            _index_triples(m)
-        assert _index_triples.cache_info().currsize == maxsize
-        # the three claims' tables (1,140, 1,330 and 364 triples), far below a megabyte
-        assert sum(x.nbytes for m in (20, 21, 14) for x in _index_triples(m)) < 100_000
+            _pair_table(m)
+        assert _pair_table.cache_info().currsize == maxsize
+        # the three claims' tables (190, 210 and 91 pairs; 1,140, 1,330 and 364 triples), far below a megabyte
+        assert sum(x.nbytes for m in (20, 21, 14) for x in _pair_table(m)) < 100_000
 
     def test_index_triples(self):
-        i, j, k = _index_triples(7)
-        assert list(zip(i.tolist(), j.tolist(), k.tolist())) == list(itertools.combinations(range(7), 3))
-        assert not i.flags.writeable
-        assert (i[:15] == 0).all() and (i[15:] > 0).all()
-        assert _index_triples(7)[0] is i
+        i, j, pair, k = _pair_table(7)
+        assert list(zip(i[pair].tolist(), j[pair].tolist(), k.tolist())) == list(itertools.combinations(range(7), 3))
+        assert (i[:6] == 0).all() and (i[6:] > 0).all()
+        assert (pair[:15] < 6).all() and (pair[15:] >= 6).all()
+        assert not pair.flags.writeable
+        assert _pair_table(7)[2] is pair
 
     def test_import_builds_nothing(self):
-        assert _fresh_python("import lpindex; print(lpindex.index._index_triples.cache_info().currsize)") == "0"
+        assert _fresh_python("import lpindex; print(lpindex.index._pair_table.cache_info().currsize)") == "0"
+
+    def test_warm_call_peak(self):
+        # a warm claim-2 call (21 planes, 1,330 triples) forms one 4 x 4 dual per
+        # plane pair, 27 KB in all, and sums the normals column by column: its
+        # traced peak was 256 KB, where one (1330, 4, 4) dual per triple and its
+        # products peaked at 769 KB
+        e = make_exponent(1.3)
+        verify_claim_region(2, e)
+        tracemalloc.start()
+        try:
+            verify_claim_region(2, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
 
 
 class TestRemarkCounterexample:
