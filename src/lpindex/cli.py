@@ -28,7 +28,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .core import DEFAULT_GRID_N, Mat2, make_exponent
-from .critical import HYPOTHESIS_RANGE, RANGE_BAND, compute_mp, lemma21_bounds
+from .critical import HYPOTHESIS_RANGE, compute_mp, in_range, lemma21_bounds
 from .index import SURROGATE_N, estimate_index, remark_counterexample, verify_claim_region
 from .norms import op_norm
 from .radius import numerical_radius
@@ -148,8 +148,8 @@ def _verify_row(p: float) -> dict:
 
 
 def cmd_verify(args) -> int:
-    lo, hi = HYPOTHESIS_RANGE
-    if not (lo - RANGE_BAND <= args.pmin <= args.pmax <= hi + RANGE_BAND):
+    if not (in_range(args.pmin) and in_range(args.pmax) and args.pmin <= args.pmax):
+        lo, hi = HYPOTHESIS_RANGE
         return _fail(f"verify needs {lo} <= pmin <= pmax <= {hi}, got [{args.pmin}, {args.pmax}]")
     if args.n < 1:
         return _fail(f"n must be >= 1, got {args.n}")

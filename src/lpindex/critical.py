@@ -66,6 +66,12 @@ class BoundsReport:
     in_hypothesis: bool = True
 
 
+def in_range(p: float, bounds: tuple[float, float] = HYPOTHESIS_RANGE) -> bool:
+    """Whether p lies in [lo, hi] = bounds, widened by RANGE_BAND at both ends."""
+    lo, hi = bounds
+    return lo - RANGE_BAND <= p <= hi + RANGE_BAND
+
+
 def objective(t, e: Exponent):
     """|t^(p-1) - t| / (1 + t^p), vectorized."""
     p = e.p
@@ -166,9 +172,6 @@ def lemma21_bounds(e: Exponent) -> BoundsReport:
     which case all_hold is False and margin is nan).
     """
     p, q = e.p, e.q
-    lo, hi = HYPOTHESIS_RANGE
-    in_hyp = lo - RANGE_BAND <= p <= hi + RANGE_BAND
-
     lower = _real_pow((2.0 * p - 2.0) / (4.0 - p), 1.0 / (2.0 - p)) if p != 2.0 else math.nan
     upper = _real_pow((p - 1.0) / (2.0 * p + 1.0), 1.0 / p)
     t0 = compute_mp(e).t0
@@ -191,5 +194,5 @@ def lemma21_bounds(e: Exponent) -> BoundsReport:
         exponent_check_rhs=rhs,
         all_hold=all_hold,
         margin=margin,
-        in_hypothesis=in_hyp,
+        in_hypothesis=in_range(p),
     )

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Exponent, Mat2, SpherePowers, make_exponent
-from .critical import HYPOTHESIS_RANGE, RANGE_BAND, compute_mp, objective
+from .critical import HYPOTHESIS_RANGE, compute_mp, in_range, objective
 from .norms import lp_pair, op_norm, riesz_thorin_bound
 from .radius import branch_value, numerical_radius
 
@@ -166,16 +166,10 @@ def alpha_ratio(T: SignPatternOp, e: Exponent, t0: float) -> float:
     return max(functional_F(T, e, t0), functional_G(T, e, t0)) / riesz_thorin_bound(T.to_mat2(), e)
 
 
-def _claim3_entries(x, pts):
-    """Entries (a, b, c, d) at claim 3's search coordinates x = (a, c, d), floats or arrays.
-
-    Claims 1-2 search the entries themselves; claim 3 searches the F = G
-    manifold b = c - (d - a) kappa, kappa = (1 + t0^p)/(t0^(p-1) + t0), with
-    pts = _t0_powers(e, t0).
-    """
+def _kappa(pts) -> float:
+    """(1 + t0^p)/(t0^(p-1) + t0), the slope kappa of claim 3's F = G manifold b = c - (d - a) kappa."""
     t0, tp, tp1 = pts
-    a, c, d = x
-    return a, c - (d - a) * ((1.0 + tp) / (tp1 + t0)), c, d
+    return (1.0 + tp) / (tp1 + t0)
 
 
 def _claim_slacks(claim_id: int, a, b, c, d, t2p: float) -> tuple:
@@ -196,7 +190,7 @@ def claim3_balance_b(T: SignPatternOp, e: Exponent, t0: float) -> float:
 
     b = c - (d - a) (1 + t0^p) / (t0^(p-1) + t0).
     """
-    return _claim3_entries((T.a, T.c, T.d), _t0_powers(e, t0))[1]
+    return T.c - (T.d - T.a) * _kappa(_t0_powers(e, t0))
 
 
 def _arrangement(pts: tuple[float, float, float], balance: bool) -> np.ndarray:
@@ -557,44 +551,36 @@ def estimate_index(e: Exponent, starts: int = 64, seed: int = 0, tol: float = 1e
     """Multi-start minimization of v(T)/||T|| over the sign-pattern 4-cube.
 
     Starts are the deterministic rotation start (0, 1, 1, 0) plus starts - 1
-    scrambled-Halton points (_halton(starts - 1, seed)).  All starts run one
-    lockstep Nelder-Mead over the grid surrogate; each endpoint, and the
-    rotation itself, is then re-evaluated at tol, so the estimate can never
-    exceed the rotation's ratio.  Deterministic given (starts, seed).
+    scrambled-Halton points (_halton(starts - 1, seed)); seed must be >= 0.
+    All starts run one lockstep Nelder-Mead over the grid surrogate.  The
+    rotation and each endpoint are folded into the cube, scaled to max entry 1
+    and re-evaluated at tol; the least (ratio, a, b, c, d) is the estimate, so
+    it never exceeds the rotation's ratio.  No endpoint folds to 0: search_obj
+    scores such a point 2.0, above the best vertex of its initial simplex,
+    which bounds the endpoint's score.  Deterministic given (starts, seed).
     converged is True when the best three re-evaluated starts agree within
     10*tol; top3_spread and near_best say how far they agree.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     mp = compute_mp(e, tol=tol)
 
     rotation = np.array([0.0, 1.0, 1.0, 0.0])
     start_pts = np.vstack([rotation, _halton(starts - 1, seed)])
     endpoints, _ = _nelder_mead_lockstep(_RatioSearch(e).search_obj, start_pts)
 
-    best = None
-    per_start = []
-    for k, x in enumerate([rotation, *endpoints]):
-        y = _fold01(x)
-        m = float(y.max())
-        if m < 1e-12:
-            continue
-        y = y / m
-        T = Mat2(y[0], y[1], -y[2], -y[3])
-        val = numerical_radius(T, e, tol=tol).value / op_norm(T, e, tol=tol).norm
-        if k > 0:
-            per_start.append(val)
-        key = (val, y[0], y[1], y[2], y[3])
-        if best is None or key < best[0]:
-            best = (key, y, val)
-
-    _, y, val = best
-    sv = sorted(per_start)
+    ops = [SignPatternOp(*(y / y.max()).tolist()) for y in _fold01(np.vstack([rotation, endpoints]))]
+    mats = [T.to_mat2() for T in ops]
+    ratios = [numerical_radius(M, e, tol=tol).value / op_norm(M, e, tol=tol).norm for M in mats]
+    val, T = min(zip(ratios, ops), key=lambda r: (r[0], *r[1].as_tuple()))
+    sv = sorted(ratios[1:])
     top3_spread = sv[2] - sv[0] if len(sv) >= 3 else None
     return IndexEstimate(
         p=e.p,
         value=val,
-        minimizer=Mat2(y[0], y[1], -y[2], -y[3]),
+        minimizer=T.to_mat2(),
         mp=mp.mp,
         gap=val - mp.mp,
         starts=starts,
@@ -634,24 +620,26 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
     proof.  With no feasible
     vertex, infimum_found is inf, holds is False and worst_point is the zero
     operator.  feasibility_slack is the least slack of the claim's constraints
-    at worst_point.  Out-of-hypothesis p raises unless force=True.
+    at worst_point.  Out-of-hypothesis p raises unless force=True; p = 2
+    raises even with force=True, because M_2 = 0 leaves no t0 in (0, 1).
     """
     if claim_id not in (1, 2, 3):
         raise ValueError(f"claim_id must be 1, 2 or 3, got {claim_id!r}")
-    lo, hi = _CLAIM_RANGES[claim_id]
     p = e.p
-    if not force and not (lo - RANGE_BAND <= p <= hi + RANGE_BAND and p > 1.0):
+    if not force and not in_range(p, _CLAIM_RANGES[claim_id]):
+        lo, hi = _CLAIM_RANGES[claim_id]
         raise ValueError(f"claim {claim_id} requires p in [{lo}, {hi}], got {p!r}")
-
-    t0 = compute_mp(e).t0
+    cp = compute_mp(e)
+    if cp.degenerate:
+        raise ValueError(f"claim {claim_id} is undefined at p = 2, where M_2 = 0 and t0 = 0")
+    t0 = cp.t0
     pts = _t0_powers(e, t0)
     t2p = t0 ** (2.0 - p)
     target = float(objective(t0, e))
     equality = None
     if claim_id == 3:
-        # b - c + (d - a) kappa = 0, from the manifold's b at the unit vectors of (a, c, d)
-        ka, kc, kd = _claim3_entries(np.eye(3), pts)[1]
-        equality = np.array([-ka, 1.0, -kc, -kd])
+        kappa = _kappa(pts)  # the manifold b - c + (d - a) kappa = 0
+        equality = np.array([-kappa, 1.0, -1.0, kappa])
     constraints = np.array(_claim_slacks(claim_id, *np.eye(4), t2p))
     _, x, vertices, segments = _ratio_infimum(e, pts, constraints, equality, balance=claim_id != 3 or p >= 2.0)
 

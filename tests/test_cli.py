@@ -19,6 +19,7 @@ from lpindex import (
     numerical_radius,
     op_norm,
     remark_counterexample,
+    verify_claim_region,
 )
 from lpindex.cli import SWEEP_COLUMNS, _fmt17, _sweep_row, _verify_row, main
 from lpindex.core import _GRID
@@ -263,6 +264,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: verify needs 1.2 <= pmin <= pmax <= 1.5, got ")
+
+    @pytest.mark.parametrize(
+        "p, inside", [(1.2 - 5e-13, True), (1.5 + 5e-13, True), (1.2 - 2e-12, False), (1.5 + 2e-12, False)]
+    )
+    def test_one_band_in_every_layer(self, capsys, p, inside):
+        # the lemma, claim 3 and the command widen the hypothesis interval by the same band
+        e = make_exponent(p)
+        assert critical.lemma21_bounds(e).in_hypothesis is inside
+        if inside:
+            verify_claim_region(3, e)
+        else:
+            with pytest.raises(ValueError, match="claim 3 requires p in"):
+                verify_claim_region(3, e)
+        assert main(["verify", "--pmin", repr(p), "--pmax", repr(p), "--n", "1"]) == (0 if inside else 2)
+        capsys.readouterr()
 
 
 class TestSweep:

@@ -257,6 +257,8 @@ class TestEstimateIndex:
             estimate_index(e, starts=0)
         with pytest.raises(ValueError):
             estimate_index(e, tol=0.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            estimate_index(e, seed=-1)
 
 
 def _scalar_runs(obj, starts, ftol=1e-11):
@@ -361,6 +363,16 @@ class TestLockstepSearch:
         out = ctx.search_obj(np.array([[2.0, 0.0, -2.0, 4.0], [0.0, 1.0, 1.0, 0.0]]))
         assert out[0] == 2.0
         assert out[1] == ctx.ratio(np.array([[0.0, 1.0, 1.0, 0.0]]))[0]
+
+    @pytest.mark.parametrize("p", [1.2, 1.3, 1.5, 2.0, 3.0, 4.0, 6.0, 1.1, 10.0, 1100.0])
+    def test_no_endpoint_folds_to_zero(self, p):
+        # estimate_index scales every endpoint by its folded max entry with no
+        # guard: an endpoint never scores above the best vertex of its initial
+        # simplex, which is below the 2.0 that search_obj gives a point folding to 0
+        start_pts = np.vstack([[0.0, 1.0, 1.0, 0.0], _halton(63, 0)])
+        ends, vals = _nelder_mead_lockstep(_RatioSearch(make_exponent(p)).search_obj, start_pts)
+        assert (vals < 2.0).all()
+        assert (_fold01(ends).max(axis=1) >= 1e-12).all()
 
     def test_ratio_scales_rows_before_powers(self):
         # at p = 1000, w**p underflows to 0 for every norm sample of these rows
@@ -721,6 +733,12 @@ class TestClaimRegions:
             verify_claim_region(1, make_exponent(1.7))
         with pytest.raises(ValueError):
             verify_claim_region(4, make_exponent(1.3))
+
+    @pytest.mark.parametrize("claim_id", [1, 2, 3])
+    def test_forced_at_two_raises(self, claim_id):
+        # M_2 = 0 and t0 = 0: the claim is undefined there, even when forced
+        with pytest.raises(ValueError, match="p = 2"):
+            verify_claim_region(claim_id, make_exponent(2.0), force=True)
 
     def test_claim3_forced_finds_breakdown(self):
         e = make_exponent(1.16)
