@@ -1,18 +1,20 @@
-"""Command-line front end: single-point computations, sweeps, and the verify battery.
+"""Command-line front end: single-point computations, sweeps, the verify battery and the breakdown scan.
 
 Single-point commands and sweep print one JSON object to stdout with a
 settings header of what they used: tol and grid_n (the maximizer's grid
 cells), and for index and sweep also starts, seed and surrogate_n, so every
-output is self-describing; verify prints its table only.  A single-point
-result is the library's result dataclass, field for field, after the
-exponent and matrix the command was given.  Sweeps write CSV or JSON files
+output is self-describing; verify and breakdown print their tables only.  A
+single-point result is the library's result dataclass, field for field, after
+the exponent and matrix the command was given.  Sweeps write CSV or JSON files
 with all numeric fields at 17 significant digits, which round-trips doubles
-exactly, so identical runs write identical files.  The verify battery exits 0
-only if every check passes; invalid arguments exit 2, and a stdout closed
-before the output is written (a reader such as `head` that stops early) exits
-141, 128 + SIGPIPE as a shell reports it.  Grid commands parallelize over p; set
-LPINDEX_WORKERS to a positive integer to pin the process count (default:
-available parallelism; any other value is an error).
+exactly, so identical runs write identical files.  verify, sweep and breakdown
+take their p-grid from one rule, _grid.  The verify battery exits 0 only if
+every check passes; breakdown is a scan and exits 0 whatever it finds; invalid
+arguments exit 2, and a stdout closed before the output is written (a reader
+such as `head` that stops early) exits 141, 128 + SIGPIPE as a shell reports
+it.  verify and sweep parallelize over p; set LPINDEX_WORKERS to a positive
+integer to pin the process count (default: available parallelism; any other
+value is an error).
 """
 
 from __future__ import annotations
@@ -27,13 +29,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .core import DEFAULT_GRID_N, Mat2, make_exponent
+from .core import DEFAULT_GRID_N, DEFAULT_TOL, Mat2, make_exponent
 from .critical import HYPOTHESIS_RANGE, compute_mp, in_range, lemma21_bounds
 from .index import SURROGATE_N, estimate_index, remark_counterexample, verify_claim_region
 from .norms import op_norm
 from .radius import numerical_radius
-
-DEFAULTS = {"tol": 1e-10, "starts": 64, "seed": 0}
 
 SWEEP_COLUMNS = ("p", "q", "t0", "mp", "lower_bound", "index_estimate", "gap")
 
@@ -82,10 +82,17 @@ def _pmap(fn, items):
         return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
+def _step(pmin: float, pmax: float, n: int) -> float:
+    return (pmax - pmin) / max(n - 1, 1)
+
+
 def _grid(pmin: float, pmax: float, n: int) -> list[float]:
-    if n == 1:
-        return [pmin]
-    step = (pmax - pmin) / (n - 1)
+    """The n equispaced exponents from pmin to pmax; one point only when pmin == pmax."""
+    if not (1.0 < pmin <= pmax < math.inf):
+        raise ValueError(f"need 1 < pmin <= pmax < inf, got [{pmin}, {pmax}]")
+    if not (n >= 2 or (n == 1 and pmin == pmax)):
+        raise ValueError(f"n must be >= 2, or 1 when pmin == pmax, got {n}")
+    step = _step(pmin, pmax, n)
     return [pmin + i * step for i in range(n)]
 
 
@@ -127,7 +134,7 @@ def cmd_index(args) -> int:
 
 def cmd_counterexample(args) -> int:
     rec = remark_counterexample(args.p)
-    _print_json("counterexample", _settings(DEFAULTS["tol"]), result=asdict(rec))
+    _print_json("counterexample", _settings(DEFAULT_TOL), result=asdict(rec))
     return 0
 
 
@@ -151,8 +158,6 @@ def cmd_verify(args) -> int:
     if not (in_range(args.pmin) and in_range(args.pmax) and args.pmin <= args.pmax):
         lo, hi = HYPOTHESIS_RANGE
         return _fail(f"verify needs {lo} <= pmin <= pmax <= {hi}, got [{args.pmin}, {args.pmax}]")
-    if args.n < 1:
-        return _fail(f"n must be >= 1, got {args.n}")
     ps = _grid(args.pmin, args.pmax, args.n)
     rows = _pmap(_verify_row, ps)
     n_pass = 0
@@ -190,14 +195,8 @@ def _write_sweep(path: str, rows: list[dict], fmt: str) -> None:
 
 
 def cmd_sweep(args) -> int:
-    if not (math.isfinite(args.pmin) and args.pmin > 1.0):
-        return _fail(f"pmin must be > 1, got {args.pmin}")
-    if not (args.pmin <= args.pmax < math.inf):
-        return _fail(f"pmax must be finite and >= pmin, got [{args.pmin}, {args.pmax}]")
-    if args.n < 2:
-        return _fail(f"n must be >= 2, got {args.n}")
-    out = f"sweep.{args.format}" if args.out is None else args.out
     ps = _grid(args.pmin, args.pmax, args.n)
+    out = f"sweep.{args.format}" if args.out is None else args.out
     rows = _pmap(_sweep_row, [(p, args.starts, args.seed, args.tol) for p in ps])
     try:
         _write_sweep(out, rows, args.format)
@@ -206,6 +205,34 @@ def cmd_sweep(args) -> int:
     max_gap = max(abs(row["gap"]) for row in rows)
     settings = _settings(args.tol, starts=args.starts, seed=args.seed, surrogate_n=SURROGATE_N)
     _print_json("sweep", settings, rows=len(rows), out=out, format=args.format, max_abs_gap=max_gap)
+    return 0
+
+
+def cmd_breakdown(args) -> int:
+    """Scan claim 3's region for where the lower-bound route fails, one float64 infimum per p.
+
+    Not a proof: only the p-step is a resolution, so the largest violating p is known to within one step.
+    """
+    ps = _grid(args.pmin, args.pmax, args.n)
+    violating = []
+    print(f"{'p':>10}  {'inf_found':>12}  {'target':>12}  {'gap':>12}  status")
+    for p in ps:
+        rep = verify_claim_region(3, make_exponent(p), force=True)
+        gap = rep.infimum_found - rep.target
+        status = "holds" if rep.holds else "VIOLATED"
+        print(f"{p:>10.6f}  {rep.infimum_found:>12.9f}  {rep.target:>12.9f}  {gap:>+12.3e}  {status}")
+        if not rep.holds:
+            violating.append(p)
+            w = rep.worst_point
+            print(f"{'':>10}  witness (a,b,c,d) = ({w.a:.6f}, {w.b:.6f}, {w.c:.6f}, {w.d:.6f})")
+    if not violating:
+        print("no violation found at the scanned p")
+    else:
+        step = _step(args.pmin, args.pmax, args.n)
+        print(
+            f"violations found for {len(violating)} scanned p, "
+            f"largest violating p = {max(violating):.6f} (resolution {step:.4f}, not certified)"
+        )
     return 0
 
 
@@ -220,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     # the options that several commands share, each declared once
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=DEFAULTS["tol"])
+    tol.add_argument("--tol", type=float, default=DEFAULT_TOL)
     search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--starts", type=int, default=DEFAULTS["starts"])
-    search.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    search.add_argument("--starts", type=int, default=64)
+    search.add_argument("--seed", type=int, default=0)
 
     p_mp = sub.add_parser("mp", parents=[tol], help="critical point t0 and value mp for one exponent")
     p_mp.add_argument("p", type=float)
@@ -243,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx.set_defaults(fn=cmd_index)
 
     p_ver = sub.add_parser("verify", help="run the bracket and claim-region battery on a p-grid")
-    p_ver.add_argument("--pmin", type=float, default=1.2)
-    p_ver.add_argument("--pmax", type=float, default=1.5)
+    p_ver.add_argument("--pmin", type=float, default=HYPOTHESIS_RANGE[0])
+    p_ver.add_argument("--pmax", type=float, default=HYPOTHESIS_RANGE[1])
     p_ver.add_argument("--n", type=int, default=100)
     p_ver.set_defaults(fn=cmd_verify)
 
@@ -259,6 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce = sub.add_parser("counterexample", help="evaluate the fixed breakdown matrix")
     p_ce.add_argument("--p", type=float, default=1.16)
     p_ce.set_defaults(fn=cmd_counterexample)
+
+    p_bd = sub.add_parser("breakdown", help="scan claim 3's region below 6/5 for where the lower-bound route fails")
+    p_bd.add_argument("--pmin", type=float, default=1.10)
+    p_bd.add_argument("--pmax", type=float, default=1.21)
+    p_bd.add_argument("--n", type=int, default=23)
+    p_bd.set_defaults(fn=cmd_breakdown)
 
     return ap
 

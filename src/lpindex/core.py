@@ -35,6 +35,8 @@ from typing import Callable
 import numpy as np
 
 DEFAULT_GRID_N = 4096
+# The maximizer's bracket half-width when a caller gives none.
+DEFAULT_TOL = 1e-10
 
 # Geometric points inside each end cell, from 1e-12 of the cell width up to it:
 # integrands with a t^(p-1) term (p near 1) or an infinite slope at s = 1 can

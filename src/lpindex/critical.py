@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID_N, Exponent, maximize_1d
+from .core import DEFAULT_GRID_N, DEFAULT_TOL, Exponent, maximize_1d
 
 _EPS = sys.float_info.epsilon
 
@@ -95,7 +95,7 @@ def phi_derivative(t: float, e: Exponent) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
+def compute_mp(e: Exponent, tol: float = DEFAULT_TOL) -> CriticalPoint:
     """Maximize |t^(p-1) - t|/(1 + t^p) over [0, 1].
 
     maximize_1d at a one-cell tol localizes the argmax to a grid cell without
@@ -116,7 +116,7 @@ def compute_mp(e: Exponent, tol: float = 1e-10) -> CriticalPoint:
     The last result is cached, so the several calls that one verify or sweep
     row makes for its exponent compute it once; rows never share an exponent,
     so one entry is enough.  The cache key is the call as spelled:
-    compute_mp(e) and compute_mp(e, tol=1e-10) are separate entries.
+    compute_mp(e) and compute_mp(e, tol=DEFAULT_TOL) are separate entries.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Exponent, Mat2, SpherePowers, make_exponent
+from .core import DEFAULT_TOL, Exponent, Mat2, SpherePowers, make_exponent
 from .critical import HYPOTHESIS_RANGE, compute_mp, in_range, objective
 from .norms import lp_pair, op_norm, riesz_thorin_bound
 from .radius import branch_value, numerical_radius
@@ -547,7 +547,7 @@ class _RatioSearch:
         return out
 
 
-def estimate_index(e: Exponent, starts: int = 64, seed: int = 0, tol: float = 1e-10) -> IndexEstimate:
+def estimate_index(e: Exponent, starts: int = 64, seed: int = 0, tol: float = DEFAULT_TOL) -> IndexEstimate:
     """Multi-start minimization of v(T)/||T|| over the sign-pattern 4-cube.
 
     Starts are the deterministic rotation start (0, 1, 1, 0) plus starts - 1

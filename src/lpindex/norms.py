@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Exponent, Mat2, maximize_1d, sphere_powers
+from .core import DEFAULT_TOL, Exponent, Mat2, maximize_1d, sphere_powers
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def _norm_objective(T: Mat2, p: float, sign: int):
     return f
 
 
-def op_norm(T: Mat2, e: Exponent, tol: float = 1e-10) -> OpNormResult:
+def op_norm(T: Mat2, e: Exponent, tol: float = DEFAULT_TOL) -> OpNormResult:
     """sup of ||Tx||_p over the l_p unit sphere.
 
     One bracketed 1-d maximization over the quadrant chart per relative sign

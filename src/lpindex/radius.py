@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Exponent, Mat2, maximize_1d, sphere_powers
+from .core import DEFAULT_TOL, Exponent, Mat2, maximize_1d, sphere_powers
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def branch_integrand(T: Mat2, e: Exponent):
     return f
 
 
-def numerical_radius(T: Mat2, e: Exponent, tol: float = 1e-10) -> RadiusResult:
+def numerical_radius(T: Mat2, e: Exponent, tol: float = DEFAULT_TOL) -> RadiusResult:
     """Numerical radius via the two-branch closed form."""
     r1 = maximize_1d(branch_integrand(T, e), tol)
     r2 = maximize_1d(branch_integrand(conjugate_by_swap(T), e), tol)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
@@ -356,6 +358,71 @@ class TestSweep:
         capsys.readouterr()
 
 
+# The function each grid command runs once per p, replaced in cli to count the rows.
+GRID_ROWS = {"verify": "_verify_row", "sweep": "_sweep_row", "breakdown": "verify_claim_region"}
+
+
+class TestGridRule:
+    """verify, sweep and breakdown take their p-grid from one rule, checked before any row runs."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+
+        def install(command):
+            row = getattr(cli, GRID_ROWS[command])
+
+            def recording(*args, **kwargs):
+                calls.append(args)
+                return row(*args, **kwargs)
+
+            monkeypatch.setattr(cli, GRID_ROWS[command], recording)
+            return calls
+
+        return install
+
+    @staticmethod
+    def _main(command, *argv):
+        extra = ["--starts", "2"] if command == "sweep" else []
+        return main([command, *argv, *extra])
+
+    @pytest.mark.parametrize("command", sorted(GRID_ROWS))
+    def test_one_point_needs_equal_ends(self, capsys, rows, command):
+        calls = rows(command)
+        assert self._main(command, "--pmin", "1.2", "--pmax", "1.5", "--n", "1") == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 2, or 1 when pmin == pmax, got 1\n"
+
+    @pytest.mark.parametrize("command", sorted(GRID_ROWS))
+    def test_one_point_grid_runs_one_row(self, capsys, rows, command):
+        calls = rows(command)
+        assert self._main(command, "--pmin", "1.3", "--pmax", "1.3", "--n", "1") == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", sorted(GRID_ROWS))
+    def test_empty_grid_exits_2(self, capsys, rows, command):
+        calls = rows(command)
+        assert self._main(command, "--n", "0") == 2
+        assert calls == []
+        assert capsys.readouterr().err == "error: n must be >= 2, or 1 when pmin == pmax, got 0\n"
+
+    @pytest.mark.parametrize(
+        "bound", [["--pmin", "1"], ["--pmin", "nan"], ["--pmax", "inf"]], ids=["pmin=1", "pmin=nan", "pmax=inf"]
+    )
+    @pytest.mark.parametrize("command", ["sweep", "breakdown"])
+    def test_bad_range_exits_2(self, capsys, rows, command, bound):
+        calls = rows(command)
+        assert self._main(command, *bound) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need 1 < pmin <= pmax < inf, got [")
+
+
 class TestProcessPool:
     """Grid commands print and write the same bytes through cli's process pool as serially."""
 
@@ -406,6 +473,49 @@ def _python_m_lpindex(*argv):
     )
 
 
+class TestBreakdown:
+    """The scan of claim 3's region below 6/5, serial, one row per p as it is computed."""
+
+    def test_defaults(self, capsys):
+        code, out = run(capsys, "breakdown")
+        assert code == 0
+        last = out.splitlines()[-1]
+        assert last.startswith("violations found for 15 scanned p, largest violating p = 1.170000 ")
+
+    def test_rejects_infinite_pmax(self):
+        proc = _python_m_lpindex("breakdown", "--pmax", "inf")
+        out, err = proc.communicate()
+        assert proc.returncode == 2
+        assert out == b""
+        assert b"error: need 1 < pmin <= pmax < inf" in err
+        assert b"Traceback" not in err
+
+    def test_rejects_small_grid(self):
+        # each row is the region's infimum, not a grid search: there is no grid to
+        # size, so --grid-n of any size is rejected
+        proc = _python_m_lpindex("breakdown", "--grid-n", "3")
+        out, err = proc.communicate()
+        assert proc.returncode == 2
+        assert out == b""
+        assert b"error: unrecognized arguments: --grid-n 3" in err
+        assert b"Traceback" not in err
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        with _python_m_lpindex("breakdown") as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE
+        assert err == b""
+
+    def test_scan_across_p2_exits_2(self):
+        # claim 3 has no t0 at p = 2, where the grid's middle point lands
+        proc = _python_m_lpindex("breakdown", "--pmin", "1.9", "--pmax", "2.1", "--n", "3")
+        _, err = proc.communicate()
+        assert proc.returncode == 2
+        assert err.startswith(b"error: claim 3 is undefined at p = 2")
+        assert b"Traceback" not in err
+
+
 class TestEntrypoint:
     def test_exit_code_and_output(self):
         proc = _python_m_lpindex("mp", "1.3")
@@ -420,3 +530,17 @@ class TestEntrypoint:
             err = proc.stderr.read()
         assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
         assert err == b""
+
+
+def test_readme_cli_examples_parse():
+    # the sh block under README's `## CLI` shows every command, with flags the parser still has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = cli.build_parser()
+    shown = set()
+    for line in (line for line in block.splitlines() if line.startswith("lpindex ")):
+        argv = shlex.split(line, comments=True)[1:]
+        parser.parse_args(argv)
+        shown.add(argv[0])
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert shown == set(commands)
