@@ -9,7 +9,6 @@ from .index import (
     RemarkRecord,
     SignPatternOp,
     alpha_ratio,
-    claim3_balance_b,
     estimate_index,
     functional_F,
     functional_G,
@@ -35,7 +34,6 @@ __all__ = [
     "RemarkRecord",
     "SignPatternOp",
     "alpha_ratio",
-    "claim3_balance_b",
     "compute_mp",
     "conjugate_by_swap",
     "estimate_index",

@@ -209,15 +209,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    """Scan claim 3's region for where the lower-bound route fails, one float64 infimum per p.
+    """Scan claim 3's F = G manifold for where the lower-bound route fails, one float64 infimum per p.
 
-    Not a proof: only the p-step is a resolution, so the largest violating p is known to within one step.
+    Every row is computed before the header is printed, so a grid through p = 2 prints nothing.  Not a
+    proof: only the p-step is a resolution, so the largest violating p is known to within one step.
     """
     ps = _grid(args.pmin, args.pmax, args.n)
+    reps = [verify_claim_region(3, make_exponent(p), force=True) for p in ps]
     violating = []
     print(f"{'p':>10}  {'inf_found':>12}  {'target':>12}  {'gap':>12}  status")
-    for p in ps:
-        rep = verify_claim_region(3, make_exponent(p), force=True)
+    for p, rep in zip(ps, reps):
         gap = rep.infimum_found - rep.target
         status = "holds" if rep.holds else "VIOLATED"
         print(f"{p:>10.6f}  {rep.infimum_found:>12.9f}  {rep.target:>12.9f}  {gap:>+12.3e}  {status}")
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--p", type=float, default=1.16)
     p_ce.set_defaults(fn=cmd_counterexample)
 
-    p_bd = sub.add_parser("breakdown", help="scan claim 3's region below 6/5 for where the lower-bound route fails")
+    p_bd = sub.add_parser("breakdown", help="scan claim 3's F = G manifold below 6/5 for where the lower bound fails")
     p_bd.add_argument("--pmin", type=float, default=1.10)
     p_bd.add_argument("--pmax", type=float, default=1.21)
     p_bd.add_argument("--n", type=int, default=23)

@@ -34,7 +34,7 @@ import numpy as np
 from .core import DEFAULT_TOL, Exponent, Mat2, SpherePowers, make_exponent
 from .critical import HYPOTHESIS_RANGE, compute_mp, in_range, objective
 from .norms import lp_pair, op_norm, riesz_thorin_bound
-from .radius import branch_value, numerical_radius
+from .radius import branch_args, branch_value, numerical_radius
 
 _CLAIM_RANGES = {1: (1.0, HYPOTHESIS_RANGE[1]), 2: (1.0, HYPOTHESIS_RANGE[1]), 3: HYPOTHESIS_RANGE}
 
@@ -51,14 +51,17 @@ _NM_FTOL = 1e-11
 # Outer product of a column and a grid, written with np.einsum into a workspace buffer
 _OUTER = "i,j->ij"
 
-# The signs of the last three |.| arguments in _arrangement's F = G planes, one row per plane
-_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+# The signs of the last three |.| arguments in _arrangement's F = G planes: one (8, 1) column per argument
+_SIGNS = np.array(list(zip(*itertools.product((1.0, -1.0), repeat=3))))[:, :, None]
 _SIGNS.flags.writeable = False
+
+# The unit vectors of (a, b, c, d), as Python floats; a linear form's values at them are its normal
+_UNIT = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 
 
 @dataclass(frozen=True)
 class SignPatternOp:
-    """Canonical sign pattern (a b; -c -d) with nonnegative entries."""
+    """Canonical sign pattern (a b; -c -d) with nonnegative entries; to_mat2 writes a zero c or d as +0.0."""
 
     a: float
     b: float
@@ -73,7 +76,7 @@ class SignPatternOp:
             object.__setattr__(self, name, v)
 
     def to_mat2(self) -> Mat2:
-        return Mat2(self.a, self.b, -self.c, -self.d)
+        return Mat2(self.a, self.b, 0.0 - self.c, 0.0 - self.d)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -134,36 +137,37 @@ class RemarkRecord:
     is_below: bool
 
 
-def _t0_powers(e: Exponent, t0: float) -> tuple[float, float, float]:
-    """(t0, t0^p, t0^(p-1)), the point at which F and G are taken; t0 must lie in (0, 1)."""
+def _t0_powers(e: Exponent) -> tuple[float, float, float]:
+    """(t0, t0^p, t0^(p-1)) at compute_mp(e)'s t0, where F and G are taken; t0 = 0 at p = 2 raises."""
+    t0 = compute_mp(e).t0
     if not (0.0 < t0 < 1.0):
-        raise ValueError(f"t0 must lie in (0, 1), got {t0!r}")
+        raise ValueError(f"F and G need t0 in (0, 1), got t0 = {t0!r} at p = {e.p!r}")
     return t0, t0**e.p, t0 ** (e.p - 1.0)
 
 
-def functional_F(T: SignPatternOp, e: Exponent, t0: float) -> float:
+def functional_F(T: SignPatternOp, e: Exponent) -> float:
     """(|a - d t0^p| + |b t0 - c t0^(p-1)|) / (1 + t0^p), branch_value at (a, b, -c, -d).
 
-    F and G are v(T)'s two branch integrands at t0, so max(F, G) <= v(T) by
+    F and G are v(T)'s two branch integrands at compute_mp(e)'s t0, so max(F, G) <= v(T) by
     construction.  The claim target they are held to is M_p's objective at t0, for every p.
     """
-    return branch_value(T.a, T.b, -T.c, -T.d, *_t0_powers(e, t0))
+    return branch_value(T.a, T.b, -T.c, -T.d, *_t0_powers(e))
 
 
-def functional_G(T: SignPatternOp, e: Exponent, t0: float) -> float:
+def functional_G(T: SignPatternOp, e: Exponent) -> float:
     """(|d - a t0^p| + |c t0 - b t0^(p-1)|) / (1 + t0^p), branch_value at (d, c, -b, -a).
 
     v(T)'s second branch integrand at t0 (F is the first), so G <= v(T) by construction; the claim
     target is M_p's objective at t0, for every p.
     """
-    return branch_value(T.d, T.c, -T.b, -T.a, *_t0_powers(e, t0))
+    return branch_value(T.d, T.c, -T.b, -T.a, *_t0_powers(e))
 
 
-def alpha_ratio(T: SignPatternOp, e: Exponent, t0: float) -> float:
-    """max(F, G) over the interpolation bound of the corresponding matrix."""
+def alpha_ratio(T: SignPatternOp, e: Exponent) -> float:
+    """max(F, G) over the interpolation bound of the corresponding matrix, at compute_mp(e)'s t0."""
     if max(T.a, T.b, T.c, T.d) <= 0.0:
         raise ValueError("alpha_ratio is undefined for the zero operator")
-    return max(functional_F(T, e, t0), functional_G(T, e, t0)) / riesz_thorin_bound(T.to_mat2(), e)
+    return max(functional_F(T, e), functional_G(T, e)) / riesz_thorin_bound(T.to_mat2(), e)
 
 
 def _kappa(pts) -> float:
@@ -185,30 +189,22 @@ def _claim_slacks(claim_id: int, a, b, c, d, t2p: float) -> tuple:
     return (d - a, b - c * t2p, b)
 
 
-def claim3_balance_b(T: SignPatternOp, e: Exponent, t0: float) -> float:
-    """The b that equalizes F and G for given (a, c, d):
-
-    b = c - (d - a) (1 + t0^p) / (t0^(p-1) + t0).
-    """
-    return T.c - (T.d - T.a) * _kappa(_t0_powers(e, t0))
-
-
 def _arrangement(pts: tuple[float, float, float], balance: bool) -> np.ndarray:
     """Normals of the planes on whose cells max(F, G), max(a + c, b + d) and max(a + b, c + d) are linear.
 
-    pts = _t0_powers(e, t0).  The four |.| arguments of F and G, the two max
-    switches and, with balance, the eight F = G candidates: one per sign
-    pattern of the |.| arguments, up to the sign of the whole pattern, which
-    gives the same plane.
+    pts = _t0_powers(e).  The four |.| arguments of F and G (branch_args at
+    (a, b, -c, -d) and (d, c, -b, -a)), the two max switches and, with
+    balance, the eight F = G candidates: one per sign pattern of the |.|
+    arguments, up to the sign of the whole pattern, which gives the same
+    plane.  Each form is linear, so its values at the unit vectors are its normal.
     """
-    t0, tp, tp1 = pts
-    # a - d t0^p and b t0 - c t0^(p-1) (F's), d - a t0^p and c t0 - b t0^(p-1) (G's)
-    args = np.array([[1.0, 0.0, 0.0, -tp], [0.0, t0, -tp1, 0.0], [-tp, 0.0, 0.0, 1.0], [0.0, -tp1, t0, 0.0]])
-    planes = [args, np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])]
-    if balance:
-        s = _SIGNS
-        planes.append(args[0] + s[:, :1] * args[1] - s[:, 1:2] * args[2] - s[:, 2:] * args[3])
-    return np.vstack(planes)
+    forms = [(*branch_args(a, b, -c, -d, *pts), *branch_args(d, c, -b, -a, *pts), (a + c) - (b + d), (a + b) - (c + d))
+             for a, b, c, d in _UNIT]
+    planes = np.array(forms).T
+    if not balance:
+        return planes
+    s1, s2, s3 = _SIGNS
+    return np.concatenate([planes, planes[0] + s1 * planes[1] - s2 * planes[2] - s3 * planes[3]])
 
 
 @lru_cache(maxsize=4)
@@ -273,7 +269,7 @@ def _ratio_infimum(e: Exponent, pts, constraints: np.ndarray, equality=None, bal
     """Least max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) over a, b, c, d >= 0 with constraints @ x >= 0.
 
     constraints is a (k, 4) array of normals, equality (optional) one more
-    normal with equality @ x == 0, pts = _t0_powers(e, t0), and balance adds
+    normal with equality @ x == 0, pts = _t0_powers(e), and balance adds
     the F = G planes to _arrangement.  On a cell of the arrangement the ratio
     is L / (M1^(1/p) M2^(1/q)) with L, M1 and M2 linear, and it has degree 0.
     So in (u, v) = (M1/L, M2/L) its infimum over the cell is the least
@@ -629,11 +625,10 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
     if not force and not in_range(p, _CLAIM_RANGES[claim_id]):
         lo, hi = _CLAIM_RANGES[claim_id]
         raise ValueError(f"claim {claim_id} requires p in [{lo}, {hi}], got {p!r}")
-    cp = compute_mp(e)
-    if cp.degenerate:
+    if compute_mp(e).degenerate:
         raise ValueError(f"claim {claim_id} is undefined at p = 2, where M_2 = 0 and t0 = 0")
-    t0 = cp.t0
-    pts = _t0_powers(e, t0)
+    pts = _t0_powers(e)
+    t0 = pts[0]
     t2p = t0 ** (2.0 - p)
     target = float(objective(t0, e))
     equality = None
@@ -646,7 +641,7 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
     m = float(x.max())
     if m > 0.0:
         worst = SignPatternOp(*((v if v > 0.0 else 0.0) / m for v in x.tolist()))
-        value = alpha_ratio(worst, e, t0)
+        value = alpha_ratio(worst, e)
     else:
         worst, value = SignPatternOp(0.0, 0.0, 0.0, 0.0), math.inf
     return ClaimRegionReport(
@@ -669,6 +664,5 @@ def remark_counterexample(p: float = 1.16) -> RemarkRecord:
         raise ValueError(f"p must lie in (1, 2), got {p!r}")
     e = make_exponent(p)
     cp = compute_mp(e)
-    T = SignPatternOp(*REMARK_ENTRIES)
-    ratio = alpha_ratio(T, e, cp.t0)
+    ratio = alpha_ratio(SignPatternOp(*REMARK_ENTRIES), e)
     return RemarkRecord(p=p, t0=cp.t0, mp=cp.mp, ratio=ratio, is_below=ratio < cp.mp)

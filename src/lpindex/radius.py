@@ -42,9 +42,15 @@ def conjugate_by_swap(T: Mat2) -> Mat2:
     return Mat2(T.d, T.c, T.b, T.a)
 
 
+def branch_args(a, b, c, d, t, tp, tp1):
+    """The two |.| arguments a + d t^p and b t + c t^(p-1) of branch_value; floats or arrays."""
+    return a + d * tp, b * t + c * tp1
+
+
 def branch_value(a, b, c, d, t, tp, tp1):
     """(|a + d t^p| + |b t + c t^(p-1)|)/(1 + t^p) for (a b; c d), tp = t^p, tp1 = t^(p-1); floats or arrays."""
-    return (abs(a + d * tp) + abs(b * t + c * tp1)) / (1.0 + tp)
+    x, y = branch_args(a, b, c, d, t, tp, tp1)
+    return (abs(x) + abs(y)) / (1.0 + tp)
 
 
 def branch_integrand(T: Mat2, e: Exponent):

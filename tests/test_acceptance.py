@@ -194,9 +194,8 @@ def test_criterion_7_claim_region_battery():
 
     # forced run outside the hypothesis: the breakdown matrix must violate the bound
     e = make_exponent(1.16)
-    t0 = compute_mp(e).t0
     remark = SignPatternOp(0.0487295, 13.639181, 15.0, 1.0)
-    remark_ratio = alpha_ratio(remark, e, t0)
+    remark_ratio = alpha_ratio(remark, e)
     forced = verify_claim_region(3, e, force=True)
     ok &= not forced.holds
     ok &= forced.infimum_found < forced.target - 1e-7

@@ -114,8 +114,11 @@ class TestIndex:
         assert res["value"] <= 1e-6
 
     def test_gap_at_p3(self, capsys):
-        res = run_json(capsys, "index", "3", "--starts", "8")["result"]
-        assert abs(res["gap"]) <= 1e-3
+        code, out = run(capsys, "index", "3", "--starts", "8")
+        assert code == 0
+        assert abs(json.loads(out)["result"]["gap"]) <= 1e-3
+        # the rotation minimizer's zero d prints as 0.0, not -0.0
+        assert '"minimizer": {"a": 0.0, "b": 1.0, "c": -1.0, "d": 0.0}' in out
 
     def test_reports_agreement_of_starts(self, capsys):
         # the 8-start agreement fields are held by test_result_is_the_library_dataclass
@@ -474,7 +477,7 @@ def _python_m_lpindex(*argv):
 
 
 class TestBreakdown:
-    """The scan of claim 3's region below 6/5, serial, one row per p as it is computed."""
+    """The scan of claim 3's F = G manifold below 6/5, serial; every row is computed before the first is printed."""
 
     def test_defaults(self, capsys):
         code, out = run(capsys, "breakdown")
@@ -508,10 +511,11 @@ class TestBreakdown:
         assert err == b""
 
     def test_scan_across_p2_exits_2(self):
-        # claim 3 has no t0 at p = 2, where the grid's middle point lands
+        # claim 3 has no t0 at p = 2, where the grid's middle point lands: nothing is printed
         proc = _python_m_lpindex("breakdown", "--pmin", "1.9", "--pmax", "2.1", "--n", "3")
-        _, err = proc.communicate()
+        out, err = proc.communicate()
         assert proc.returncode == 2
+        assert out == b""
         assert err.startswith(b"error: claim 3 is undefined at p = 2")
         assert b"Traceback" not in err
 
@@ -530,6 +534,16 @@ class TestEntrypoint:
             err = proc.stderr.read()
         assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
         assert err == b""
+
+
+def test_readme_library_example_runs():
+    # the python block under README's `## Library` runs, and its comments hold
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert abs(scope["v"] - scope["cp"].mp) <= 1e-12
+    assert scope["rep"].holds is False
 
 
 def test_readme_cli_examples_parse():

@@ -21,7 +21,6 @@ from lpindex import (
     Mat2,
     SignPatternOp,
     alpha_ratio,
-    claim3_balance_b,
     compute_mp,
     conjugate_by_swap,
     estimate_index,
@@ -39,9 +38,11 @@ from lpindex.cli import _grid, _verify_row
 from lpindex.radius import branch_integrand
 from lpindex.index import (
     SURROGATE_N,
+    _arrangement,
     _claim_slacks,
     _fold01,
     _halton,
+    _kappa,
     _nelder_mead_lockstep,
     _pair_table,
     _NM_MAX_ITER,
@@ -67,6 +68,11 @@ class TestSignPatternOp:
     def test_to_mat2_applies_signs(self):
         assert SignPatternOp(1, 2, 3, 4).to_mat2() == Mat2(1, 2, -3, -4)
 
+    def test_to_mat2_keeps_zero_positive(self):
+        # a zero c or d comes out as +0.0, not -0.0, so printed minimizers read 0.0
+        M = SignPatternOp(0, 1, 1, 0).to_mat2()
+        assert [math.copysign(1.0, x) > 0 for x in M.as_tuple()] == [True, True, False, True]
+
 
 class TestFunctionals:
     def test_rotation_realizes_target(self):
@@ -74,24 +80,24 @@ class TestFunctionals:
         e = make_exponent(p)
         t0 = t0_of(p)
         target = (t0 ** (p - 1.0) - t0) / (1.0 + t0**p)
-        assert functional_F(ROTATION_PATTERN, e, t0) == pytest.approx(target, rel=1e-15)
-        assert functional_G(ROTATION_PATTERN, e, t0) == pytest.approx(target, rel=1e-15)
+        assert functional_F(ROTATION_PATTERN, e) == pytest.approx(target, rel=1e-15)
+        assert functional_G(ROTATION_PATTERN, e) == pytest.approx(target, rel=1e-15)
 
     def test_corner_substitutions(self):
         p = 1.4
         e = make_exponent(p)
         t0 = t0_of(p)
         tp = t0**p
-        assert functional_F(SignPatternOp(1, 0, 0, 0), e, t0) == pytest.approx(
+        assert functional_F(SignPatternOp(1, 0, 0, 0), e) == pytest.approx(
             1.0 / (1.0 + tp), rel=1e-15
         )
-        assert functional_F(SignPatternOp(0, 0, 0, 1), e, t0) == pytest.approx(
+        assert functional_F(SignPatternOp(0, 0, 0, 1), e) == pytest.approx(
             tp / (1.0 + tp), rel=1e-15
         )
-        assert functional_G(SignPatternOp(0, 0, 1, 0), e, t0) == pytest.approx(
+        assert functional_G(SignPatternOp(0, 0, 1, 0), e) == pytest.approx(
             t0 / (1.0 + tp), rel=1e-15
         )
-        assert functional_G(SignPatternOp(1, 0, 0, 1), e, t0) == pytest.approx(
+        assert functional_G(SignPatternOp(1, 0, 0, 1), e) == pytest.approx(
             (1.0 - tp) / (1.0 + tp), rel=1e-15
         )
 
@@ -104,91 +110,86 @@ class TestFunctionals:
             M = T.to_mat2()
             first = branch_integrand(M, e)(np.array([t0])).item()
             second = branch_integrand(conjugate_by_swap(M), e)(np.array([t0])).item()
-            assert functional_F(T, e, t0) == pytest.approx(first, rel=1e-14)
-            assert functional_G(T, e, t0) == pytest.approx(second, rel=1e-14)
+            assert functional_F(T, e) == pytest.approx(first, rel=1e-14)
+            assert functional_G(T, e) == pytest.approx(second, rel=1e-14)
             assert max(first, second) <= numerical_radius(M, e).value + 1e-12
 
     def test_rejects_t0_outside_unit_interval(self):
-        e = make_exponent(1.3)
-        with pytest.raises(ValueError):
-            functional_F(ROTATION_PATTERN, e, 0.0)
-        with pytest.raises(ValueError):
-            functional_G(ROTATION_PATTERN, e, 1.0)
+        # t0 comes from compute_mp; at p = 2 it is 0 (M_2 = 0), and the error names p
+        e = make_exponent(2.0)
+        for functional in (functional_F, functional_G, alpha_ratio):
+            with pytest.raises(ValueError, match=r"got t0 = 0\.0 at p = 2\.0"):
+                functional(ROTATION_PATTERN, e)
 
 
 class TestAlphaRatio:
     def test_breakdown_matrix_reference_value(self):
         e = make_exponent(1.16)
         T = SignPatternOp(0.0487295, 13.639181, 15.0, 1.0)
-        assert alpha_ratio(T, e, t0_of(1.16)) == pytest.approx(0.557895, abs=1e-5)
+        assert alpha_ratio(T, e) == pytest.approx(0.557895, abs=1e-5)
 
     def test_rotation_gives_mp(self):
         p = 1.3
         e = make_exponent(p)
         cp = compute_mp(e)
-        assert alpha_ratio(ROTATION_PATTERN, e, cp.t0) == pytest.approx(cp.mp, rel=1e-14)
+        assert alpha_ratio(ROTATION_PATTERN, e) == pytest.approx(cp.mp, rel=1e-14)
 
     def test_scale_invariance(self):
         e = make_exponent(1.25)
-        t0 = t0_of(1.25)
         T = SignPatternOp(0.3, 1.0, 0.8, 0.1)
         for lam in (2.0, 0.125, 37.5):
             Ts = SignPatternOp(lam * T.a, lam * T.b, lam * T.c, lam * T.d)
-            assert alpha_ratio(Ts, e, t0) == pytest.approx(alpha_ratio(T, e, t0), rel=1e-12)
+            assert alpha_ratio(Ts, e) == pytest.approx(alpha_ratio(T, e), rel=1e-12)
 
     def test_rejects_zero_operator(self):
         with pytest.raises(ValueError):
-            alpha_ratio(SignPatternOp(0, 0, 0, 0), make_exponent(1.3), 0.1)
+            alpha_ratio(SignPatternOp(0, 0, 0, 0), make_exponent(1.3))
 
     @given(
         entries=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)), min_size=4, max_size=4),
         scale=st.sampled_from([1.0, 1e-300, 1e200]),
         p=st.floats(min_value=1.0001, max_value=1000.0),
-        t0=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_frozen_scalar_ratio(self, entries, scale, p, t0):
-        # F, G and riesz_thorin_bound give the floats of the scalar ratio, bit for bit
+    def test_matches_frozen_scalar_ratio(self, entries, scale, p):
+        # F, G and riesz_thorin_bound give the floats of the scalar ratio at compute_mp's t0, bit for bit
         a, b, c, d = (scale * v for v in entries)
         assume(max(a, b, c, d) > 0.0)
+        assume(p != 2.0)
         e = make_exponent(p)
-        ref = _ref_lower_ratio(a, b, c, d, e, _t0_powers(e, t0))
-        assert repr(alpha_ratio(SignPatternOp(a, b, c, d), e, t0)) == repr(ref)
+        t0 = t0_of(p)
+        ref = _ref_lower_ratio(a, b, c, d, e, (t0, t0**p, t0 ** (p - 1.0)))
+        assert repr(alpha_ratio(SignPatternOp(a, b, c, d), e)) == repr(ref)
 
     def test_lower_bounds_true_ratio(self):
         # max(F, G)/rt never exceeds v(T)/||T|| on the sign-pattern class
         rng = np.random.default_rng(6)
         p = 1.35
         e = make_exponent(p)
-        t0 = t0_of(p)
         for row in rng.uniform(0.0, 5.0, size=(40, 4)):
             T = SignPatternOp(*row)
             if max(row) <= 0.0:
                 continue
             M = T.to_mat2()
             true_ratio = numerical_radius(M, e).value / op_norm(M, e).norm
-            assert true_ratio >= alpha_ratio(T, e, t0) - 1e-9
+            assert true_ratio >= alpha_ratio(T, e) - 1e-9
 
 
 class TestBalanceB:
-    def test_equal_diagonal_returns_c(self):
-        e = make_exponent(1.3)
-        assert claim3_balance_b(SignPatternOp(0.4, 0.0, 0.9, 0.4), e, 0.12) == 0.9
-
-    def test_zero_c_equal_diagonal(self):
-        e = make_exponent(1.3)
-        assert claim3_balance_b(SignPatternOp(0.4, 0.0, 0.0, 0.4), e, 0.12) == 0.0
-
     def test_balances_functionals(self):
+        # b = c - (d - a) kappa puts (a, b, c, d) on claim 3's F = G manifold
         p = 1.3
         e = make_exponent(p)
-        t0 = t0_of(p)
+        pts = _t0_powers(e)
+        balanced = 0
         for a, c, d in [(0.2, 1.0, 0.5), (0.05, 0.9, 0.3), (0.0, 1.0, 0.2)]:
-            b = claim3_balance_b(SignPatternOp(a, 0.0, c, d), e, t0)
-            if b < 0.0 or a < d * t0**p:
+            b = c - (d - a) * _kappa(pts)
+            if b < 0.0 or a < d * pts[1]:
                 continue
             T = SignPatternOp(a, b, c, d)
-            assert abs(functional_F(T, e, t0) - functional_G(T, e, t0)) <= 1e-10
+            assert abs(functional_F(T, e) - functional_G(T, e)) <= 1e-10
+            balanced += 1
+        assert balanced > 0
 
 
 class TestEstimateIndex:
@@ -299,7 +300,7 @@ def _scalar_runs(obj, starts, ftol=1e-11):
 def _claim2_penalized(p):
     """Claim 2's polish objective, without the tracking, on folded points, one row at a time."""
     e = make_exponent(p)
-    pts = _t0_powers(e, t0_of(p))
+    pts = _t0_powers(e)
     t2p = pts[0] ** (2.0 - p)
 
     def obj(X):
@@ -747,7 +748,7 @@ class TestClaimRegions:
         assert rep.infimum_found < rep.target - 1e-7
         # at least as deep as the fixed breakdown matrix
         T = SignPatternOp(0.0487295, 13.639181, 15.0, 1.0)
-        assert rep.infimum_found <= alpha_ratio(T, e, t0_of(1.16)) + 1e-9
+        assert rep.infimum_found <= alpha_ratio(T, e) + 1e-9
 
     @pytest.mark.parametrize("p, holds", [(1.1705, False), (1.1706, False), (1.17063, False), (1.17064, True)])
     def test_claim3_forced_just_below_six_fifths(self, p, holds):
@@ -785,7 +786,7 @@ def _grid_infimum(claim_id, p, n):
     of the unit cube, on the frozen helpers: (a, b, c, d) for claims 1-2, (a, c, d)
     on claim 3's manifold."""
     e = make_exponent(p)
-    pts = _t0_powers(e, t0_of(p))
+    pts = _t0_powers(e)
     g = np.linspace(0.0, 1.0, n)
     X = [x.ravel() for x in np.meshgrid(*[g] * (3 if claim_id == 3 else 4), indexing="ij")]
     a, b, c, d = _ref_entries(claim_id, X, pts)
@@ -820,7 +821,7 @@ class TestClaimGridScoring:
         rep = verify_claim_region(claim_id, e, force=force)
         for grid_n in (4, 5, 12, 16, 25):
             assert _grid_infimum(claim_id, p, grid_n) >= rep.infimum_found - 1e-12
-        pts = _t0_powers(e, t0_of(p))
+        pts = _t0_powers(e)
         worst = rep.worst_point.as_tuple()
         assert _ref_lower_ratio(*worst, e, pts) == pytest.approx(rep.infimum_found, abs=1e-15)
         assert min(_ref_slacks(claim_id, *worst, pts[0] ** (2.0 - p))) >= -1e-12
@@ -857,7 +858,7 @@ class TestClaimGridScoring:
             assert (rep.vertices, rep.segments) == (ref.vertices, ref.segments)
             assert rep.feasibility_slack >= -1e-12
             assert ref.infimum_found - 1e-12 <= rep.infimum_found < math.inf
-            assert rep.infimum_found == alpha_ratio(rep.worst_point, e, t0_of(1.3))
+            assert rep.infimum_found == alpha_ratio(rep.worst_point, e)
 
     @pytest.mark.parametrize("claim_id", [1, 2, 3])
     def test_counts(self, monkeypatch, claim_id):
@@ -934,7 +935,7 @@ class TestExactInfimum:
         # over all of a, b, c, d >= 0 the lower-bound ratio's infimum is M_p
         e = make_exponent(p)
         cp = compute_mp(e)
-        value, x, vertices, segments = _ratio_infimum(e, _t0_powers(e, cp.t0), np.empty((0, 4)))
+        value, x, vertices, segments = _ratio_infimum(e, _t0_powers(e), np.empty((0, 4)))
         assert abs(value - cp.mp) <= 1e-15
         assert abs(x.sum() - 1.0) <= 1e-15 and (x >= -1e-12).all()
         assert vertices > 0 and segments > 0
@@ -956,14 +957,14 @@ class TestExactInfimum:
         # the F = G manifold that claim 3 searches attains the infimum over
         # the whole of claim 3's region
         e = make_exponent(p)
-        value = _ratio_infimum(e, _t0_powers(e, t0_of(p)), _claim3_region(p))[0]
+        value = _ratio_infimum(e, _t0_powers(e), _claim3_region(p))[0]
         assert abs(verify_claim_region(3, e, force=True).infimum_found - value) <= 1e-15
 
     def test_no_feasible_vertex(self):
         # a constraint that only the zero operator meets; verify_claim_region's
         # report for it is TestClaimGridScoring::test_no_finite_ratio's
         e = make_exponent(1.3)
-        value, x, vertices, segments = _ratio_infimum(e, _t0_powers(e, t0_of(1.3)), -np.ones((1, 4)))
+        value, x, vertices, segments = _ratio_infimum(e, _t0_powers(e), -np.ones((1, 4)))
         assert (value, x.tolist(), vertices, segments) == (math.inf, [0.0] * 4, 0, 0)
 
 
@@ -1007,6 +1008,32 @@ def _same_bits(got, ref):
     return all(
         x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(got, ref)
     )
+
+
+def _frozen_arrangement(pts, balance):
+    """The literal plane table that _arrangement's rows are read off branch_args and the switches to replace."""
+    t0, tp, tp1 = pts
+    args = np.array([[1.0, 0.0, 0.0, -tp], [0.0, t0, -tp1, 0.0], [-tp, 0.0, 0.0, 1.0], [0.0, -tp1, t0, 0.0]])
+    planes = [args, np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])]
+    if balance:
+        s = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        planes.append(args[0] + s[:, :1] * args[1] - s[:, 1:2] * args[2] - s[:, 2:] * args[3])
+    return np.vstack(planes)
+
+
+class TestArrangementMatchesFrozen:
+    """_arrangement's planes, evaluated from the formulas at the unit vectors, are the literal table's floats."""
+
+    @pytest.mark.parametrize("balance", [False, True])
+    @pytest.mark.parametrize(
+        "ps", [_grid(1.2, 1.5, 100), np.linspace(1.05, 6.0, 101).tolist()], ids=["verify-grid", "1.05-6"]
+    )
+    def test_rows(self, ps, balance):
+        for p in ps:
+            if p == 2.0:
+                continue
+            pts = _t0_powers(make_exponent(p))
+            assert _same_bits([_arrangement(pts, balance)], [_frozen_arrangement(pts, balance)])
 
 
 class TestSolveMatchesFrozen:
