@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -74,10 +73,16 @@ def _workers() -> int:
 
 
 def _pmap(fn, items):
-    """Order-preserving map, parallel over processes when it pays off."""
+    """Order-preserving map, parallel over processes when it pays off.
+
+    The process-pool modules are imported here, on the first pooled map, so
+    a command that maps serially never loads them.
+    """
     workers = min(_workers(), len(items))
     if workers <= 1 or len(items) < 4:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
@@ -194,9 +199,28 @@ def _write_sweep(path: str, rows: list[dict], fmt: str) -> None:
         fh.write(text)
 
 
+def _check_writable(path: str) -> None:
+    """Raise ValueError unless path looks writable as a file; creates and truncates nothing.
+
+    An existing path must be a writable file, a new one needs a writable
+    parent directory.  Only a precheck: the write can still fail.
+    """
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {reason}")
+
+
 def cmd_sweep(args) -> int:
     ps = _grid(args.pmin, args.pmax, args.n)
     out = f"sweep.{args.format}" if args.out is None else args.out
+    _check_writable(out)
     rows = _pmap(_sweep_row, [(p, args.starts, args.seed, args.tol) for p in ps])
     try:
         _write_sweep(out, rows, args.format)
@@ -211,14 +235,19 @@ def cmd_sweep(args) -> int:
 def cmd_breakdown(args) -> int:
     """Scan claim 3's F = G manifold for where the lower-bound route fails, one float64 infimum per p.
 
-    Every row is computed before the header is printed, so a grid through p = 2 prints nothing.  Not a
-    proof: only the p-step is a resolution, so the largest violating p is known to within one step.
+    Every row is computed before the header is printed.  p = 2, where M_2 = 0 leaves claim 3 without
+    a t0, is a row of its own, status undefined, that neither holds nor is violated.  Not a proof:
+    only the p-step is a resolution, so the largest violating p is known to within one step.
     """
     ps = _grid(args.pmin, args.pmax, args.n)
-    reps = [verify_claim_region(3, make_exponent(p), force=True) for p in ps]
+    es = [make_exponent(p) for p in ps]
+    reps = [None if compute_mp(e).degenerate else verify_claim_region(3, e, force=True) for e in es]
     violating = []
     print(f"{'p':>10}  {'inf_found':>12}  {'target':>12}  {'gap':>12}  status")
     for p, rep in zip(ps, reps):
+        if rep is None:
+            print(f"{p:>10.6f}  {'-':>12}  {0.0:>12.9f}  {'-':>12}  undefined")  # M_2 = 0
+            continue
         gap = rep.infimum_found - rep.target
         status = "holds" if rep.holds else "VIOLATED"
         print(f"{p:>10.6f}  {rep.infimum_found:>12.9f}  {rep.target:>12.9f}  {gap:>+12.3e}  {status}")

@@ -18,11 +18,13 @@ quadrant arc x2 = (1 - t^p)^(1/p), x2^(p-1) and the quadrant chart, which
 maps t to a point of the positive quadrant of the unit sphere switched at the
 diagonal (SpherePowers).  op_norm searches the chart, and the index surrogate
 samples the norm on it at its own 257-point grid.  On the pre-scan grid these
-do not depend on the operator, so sphere_powers keeps them per exponent,
-read-only, for the last _POWERS_CACHE_SIZE exponents (6 arrays of 4193
-float64, about 201 KB each); on refinement points each objective computes
-only what it reads.  Cached or not, every array is the same numpy
-expression, so the cache moves no bit.
+do not depend on the operator, so sphere_powers keeps one record per
+exponent for the last _POWERS_CACHE_SIZE exponents.  Each of its arrays
+(4193 float64, about 33 KB) is computed on first read and kept read-only,
+so an exponent holds only what its callers read: the index search reads
+tp, tp1 and the chart, never x2 or x2p1.  On refinement points each
+objective computes only what it reads.  Cached or not, every array is the
+same numpy expression, so the cache moves no bit.
 """
 
 from __future__ import annotations
@@ -130,9 +132,10 @@ def _evaluate(objective: Callable, ts: np.ndarray) -> np.ndarray:
 class _computed_once:
     """A lazily computed attribute, kept in the instance once computed.
 
-    functools.cached_property does the same, but before Python 3.12 it takes a
-    lock on each first use, which costs more than a power on a refinement
-    bracket.
+    On the pre-scan grid the arrays are shared through sphere_powers' cache,
+    so there they are kept read-only.  functools.cached_property does the
+    same, but before Python 3.12 it takes a lock on each first use, which
+    costs more than a power on a refinement bracket.
     """
 
     def __init__(self, fn):
@@ -143,6 +146,9 @@ class _computed_once:
 
     def __get__(self, obj, owner=None):
         value = obj.__dict__[self.name] = self.fn(obj)
+        if obj.t is _GRID:
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
         return value
 
 
@@ -196,11 +202,8 @@ class SpherePowers:
 
 @functools.lru_cache(maxsize=_POWERS_CACHE_SIZE)
 def _grid_powers(p: float) -> SpherePowers:
-    """The SpherePowers of the pre-scan grid, all computed and read-only."""
-    pw = SpherePowers(_GRID, p)
-    for arr in (pw.tp, pw.tp1, pw.x2, pw.x2p1, *pw.chart):
-        arr.flags.writeable = False
-    return pw
+    """The SpherePowers of the pre-scan grid; each array is computed on first read, read-only."""
+    return SpherePowers(_GRID, p)
 
 
 def sphere_powers(t: np.ndarray, p: float) -> SpherePowers:

@@ -379,11 +379,14 @@ def _nelder_mead_lockstep(fn, x0: np.ndarray):
     vertex is reflected through the centroid of the others and the step
     expands, contracts (toward the reflection when that beats the worst
     vertex, else toward the worst) or shrinks toward the best.  fn maps a
-    (k, n) array of points to their (k,) values.  Each iteration makes at most
-    three fn calls for all still-active starts: reflection,
-    expansion/contraction (disjoint sets), shrink.  No start's path depends on
-    another's, so each is the path a lone run takes; the tests hold it to a
-    scalar run on Python floats bit for bit.  The simplices of the active
+    (k, n) array of points to their (k,) values.  The initial simplex is
+    evaluated one vertex at a time, n + 1 calls of S rows.  Each iteration
+    makes at most three fn calls for all still-active starts: reflection,
+    expansion/contraction (disjoint sets), shrink.  So a call passes at most
+    S rows, except a shrink, which passes n rows per shrinking start: up to
+    n S in principle.  No start's path depends on another's, so each is the
+    path a lone run takes; the tests hold it to a scalar run on Python floats
+    bit for bit.  The simplices of the active
     starts are kept as compact arrays, sorted by direct indexing; a start's
     simplex is written back once, when it stops or at the iteration cap.
     Returns the (S, n) endpoints and their (S,) values.
@@ -391,7 +394,7 @@ def _nelder_mead_lockstep(fn, x0: np.ndarray):
     S, n = x0.shape
     simplex = np.repeat(x0[:, None, :], n + 1, axis=1)
     simplex[:, np.arange(1, n + 1), np.arange(n)] += _NM_STEP
-    vals = fn(simplex.reshape(-1, n)).reshape(S, n + 1)
+    vals = np.column_stack([fn(simplex[:, k]) for k in range(n + 1)])
     act, sx, sv = np.arange(S), simplex, vals
 
     for _ in range(_NM_MAX_ITER):
@@ -455,12 +458,14 @@ class _RatioSearch:
 
     Each instance evaluates in a workspace of its own: float64
     (rows, SURROGATE_N + 1) buffers, four for scratch and one holding 1 + t^p
-    in every row, grown to the largest call (the initial simplex, starts x 5
-    rows) and reused through contiguous slices, so a call makes no array of
-    that size.  The row x grid products are written with einsum, which numpy
-    runs as one contiguous loop where a broadcast (S, 1) * (SURROGATE_N + 1,)
-    product runs one short loop per row; einsum adds each product to a
-    zeroed output, the same float for these inputs >= 0.  max(F, G) is the
+    in every row, grown to the largest call and reused through contiguous
+    slices, so a call makes no array of that size.  In estimate_index the
+    largest call is one row per start unless a shrink passes more: up to 4
+    rows per shrinking start (_nelder_mead_lockstep).  The row x grid products
+    are written with einsum, which numpy runs as one contiguous loop where a
+    broadcast (S, 1) * (SURROGATE_N + 1,) product runs one short loop per
+    row; einsum adds each product to a zeroed output, the same float for
+    these inputs >= 0.  max(F, G) is the
     larger numerator divided once by 1 + t^p, the same float as the larger
     quotient because division by a positive number is monotone.  F and G are
     radius.branch_value of (a b; -c -d) and of its swap; this is that formula

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import os
 import shlex
@@ -344,6 +345,20 @@ class TestSweep:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_out_fails_before_any_row(self, capsys, monkeypatch, tmp_path, where):
+        def no_rows(item):
+            raise AssertionError("a row ran before --out was checked")
+
+        monkeypatch.setattr(cli, "_sweep_row", no_rows)
+        target = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        code = main(["sweep", "--n", "3", "--starts", "8", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}")
+        assert not (tmp_path / "missing").exists()
+
     def test_settings_header(self, capsys, tmp_path):
         # every row runs estimate_index, so sweep reports the surrogate grid too
         doc = run_json(
@@ -433,12 +448,13 @@ class TestProcessPool:
     def pools(self, monkeypatch):
         made = []
 
-        class Recording(cli.ProcessPoolExecutor):
+        class Recording(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 made.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        # cli imports the pool on its first pooled map, from the package
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         return made
 
     def _by_workers(self, monkeypatch, command):
@@ -510,14 +526,21 @@ class TestBreakdown:
         assert proc.returncode == cli.EXIT_BROKEN_PIPE
         assert err == b""
 
-    def test_scan_across_p2_exits_2(self):
-        # claim 3 has no t0 at p = 2, where the grid's middle point lands: nothing is printed
-        proc = _python_m_lpindex("breakdown", "--pmin", "1.9", "--pmax", "2.1", "--n", "3")
-        out, err = proc.communicate()
-        assert proc.returncode == 2
-        assert out == b""
-        assert err.startswith(b"error: claim 3 is undefined at p = 2")
-        assert b"Traceback" not in err
+    def test_scan_across_p2_prints_an_undefined_row(self, capsys):
+        # claim 3 has no t0 at p = 2, where the grid's middle point lands: that row
+        # is undefined, neither holding nor violated, and the rows beside it are
+        # those of one-point scans
+        code, out = run(capsys, "breakdown", "--pmin", "1.9", "--pmax", "2.1", "--n", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 5
+        assert lines[2] == "  2.000000             -   0.000000000             -  undefined"
+        for row, p in ((1, "1.9"), (3, "2.1")):
+            code, single = run(capsys, "breakdown", "--pmin", p, "--pmax", p, "--n", "1")
+            assert code == 0
+            assert single.splitlines()[1] == lines[row]
+            assert lines[row].endswith("  holds")
+        assert lines[-1] == "no violation found at the scanned p"
 
 
 class TestEntrypoint:

@@ -203,6 +203,17 @@ class TestSpherePowers:
         assert np.array_equal(u[off_diagonal], v[::-1][off_diagonal])
         assert np.array_equal(v[off_diagonal], u[::-1][off_diagonal])
 
+    def test_grid_powers_are_computed_on_first_read(self):
+        # numerical_radius reads tp and tp1 on the grid, op_norm the chart: no
+        # caller of either reads the arc x2 or x2p1, so neither is computed
+        p = 1.2468013579
+        T, e = Mat2(0.3, -2.0, 1.7, 0.9), make_exponent(p)
+        numerical_radius(T, e)
+        op_norm(T, e)
+        kept = sphere_powers(_GRID, p).__dict__
+        assert {"tp", "tp1", "chart"} <= kept.keys()
+        assert not {"x2", "x2p1"} & kept.keys()
+
     def test_other_points_are_not_cached(self):
         before = _grid_powers.cache_info()
         pts = _GRID[:65].copy()

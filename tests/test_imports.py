@@ -2,7 +2,12 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import lpindex
 
@@ -44,3 +49,34 @@ def test_dataclasses_are_frozen():
         if c.__module__ == mod.__name__ and dataclasses.is_dataclass(c) and not c.__dataclass_params__.frozen
     ]
     assert thawed == []
+
+
+# Every command that maps serially: verify's 3 rows are below the pool's 4-row threshold.
+SERIAL_COMMANDS = [
+    "mp 1.16",
+    "radius 1.3 1 2 3 4",
+    "opnorm 2 3 0 0 -4",
+    "index 3 --starts 4",
+    "counterexample",
+    "breakdown --pmin 1.16 --pmax 1.18 --n 3",
+    "verify --n 3",
+]
+
+
+@pytest.mark.parametrize("command", SERIAL_COMMANDS, ids=[c.split()[0] for c in SERIAL_COMMANDS])
+def test_serial_command_loads_no_process_pool(command):
+    # a fresh interpreter runs the command through cli.main, then prints the
+    # process-pool packages it loaded: the pool is imported on its first use
+    script = (
+        "import contextlib, io, sys\n"
+        "from lpindex import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({command.split()!r})\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))\n"
+        "sys.exit(code)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "LPINDEX_WORKERS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

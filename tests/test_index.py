@@ -359,6 +359,24 @@ class TestLockstepSearch:
         for i in range(len(Y)):
             assert r[i] == ctx.ratio(Y[i : i + 1])[0]
 
+    def test_workspace_holds_one_row_per_start(self):
+        # the initial simplex is evaluated one vertex at a time, so no surrogate
+        # call of a 64-start search sees more than 64 rows, and neither does
+        # the workspace
+        ctx = _RatioSearch(make_exponent(1.3))
+        seen = []
+        ratio = ctx.ratio
+
+        def recording(Y):
+            seen.append(len(Y))
+            return ratio(Y)
+
+        ctx.ratio = recording
+        start_pts = np.vstack([[0.0, 1.0, 1.0, 0.0], _halton(63, 0)])
+        _nelder_mead_lockstep(ctx.search_obj, start_pts)
+        assert ctx._work.shape[1] == 64
+        assert max(seen) == 64
+
     def test_start_folding_to_zero_scores_two(self):
         ctx = _RatioSearch(make_exponent(1.3))
         out = ctx.search_obj(np.array([[2.0, 0.0, -2.0, 4.0], [0.0, 1.0, 1.0, 0.0]]))
