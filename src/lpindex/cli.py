@@ -236,7 +236,8 @@ def cmd_breakdown(args) -> int:
     """Scan claim 3's F = G manifold for where the lower-bound route fails, one float64 infimum per p.
 
     Every row is computed before the header is printed.  p = 2, where M_2 = 0 leaves claim 3 without
-    a t0, is a row of its own, status undefined, that neither holds nor is violated.  Not a proof:
+    a t0, is a row of its own, status undefined, that neither holds nor is violated; the summary line
+    says that it was not checked.  Not a proof:
     only the p-step is a resolution, so the largest violating p is known to within one step.
     """
     ps = _grid(args.pmin, args.pmax, args.n)
@@ -255,13 +256,17 @@ def cmd_breakdown(args) -> int:
             violating.append(p)
             w = rep.worst_point
             print(f"{'':>10}  witness (a,b,c,d) = ({w.a:.6f}, {w.b:.6f}, {w.c:.6f}, {w.d:.6f})")
+    if all(rep is None for rep in reps):
+        print("no p checked: claim 3 is undefined at p = 2")
+        return 0
+    note = "; p = 2 undefined, not checked" if None in reps else ""
     if not violating:
-        print("no violation found at the scanned p")
+        print(f"no violation found at the scanned p{note}")
     else:
         step = _step(args.pmin, args.pmax, args.n)
         print(
             f"violations found for {len(violating)} scanned p, "
-            f"largest violating p = {max(violating):.6f} (resolution {step:.4f}, not certified)"
+            f"largest violating p = {max(violating):.6f} (resolution {step:.4f}, not certified){note}"
         )
     return 0
 

@@ -170,12 +170,6 @@ def alpha_ratio(T: SignPatternOp, e: Exponent) -> float:
     return max(functional_F(T, e), functional_G(T, e)) / riesz_thorin_bound(T.to_mat2(), e)
 
 
-def _kappa(pts) -> float:
-    """(1 + t0^p)/(t0^(p-1) + t0), the slope kappa of claim 3's F = G manifold b = c - (d - a) kappa."""
-    t0, tp, tp1 = pts
-    return (1.0 + tp) / (tp1 + t0)
-
-
 def _claim_slacks(claim_id: int, a, b, c, d, t2p: float) -> tuple:
     """Slacks of claim_id's constraints at (a, b, c, d), t2p = t0^(2-p).
 
@@ -265,13 +259,13 @@ def _solve_triples(H: np.ndarray, prefix: bool) -> tuple[np.ndarray, np.ndarray]
     return cut, N.T.copy()
 
 
-def _ratio_infimum(e: Exponent, pts, constraints: np.ndarray, equality=None, balance: bool = True):
+def _ratio_infimum(e: Exponent, constraints: np.ndarray, equality=None, balance: bool = True):
     """Least max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) over a, b, c, d >= 0 with constraints @ x >= 0.
 
     constraints is a (k, 4) array of normals, equality (optional) one more
-    normal with equality @ x == 0, pts = _t0_powers(e), and balance adds
-    the F = G planes to _arrangement.  On a cell of the arrangement the ratio
-    is L / (M1^(1/p) M2^(1/q)) with L, M1 and M2 linear, and it has degree 0.
+    normal with equality @ x == 0, and balance adds the F = G planes to
+    _arrangement, taken at _t0_powers(e).  On a cell of the arrangement the
+    ratio is L / (M1^(1/p) M2^(1/q)), of degree 0, with L, M1 and M2 linear.
     So in (u, v) = (M1/L, M2/L) its infimum over the cell is the least
     u^(-1/p) v^(-1/q) over a polygon spanned by the images of the cell's
     vertices, which is attained at a vertex or at a stationary point
@@ -297,6 +291,7 @@ def _ratio_infimum(e: Exponent, pts, constraints: np.ndarray, equality=None, bal
     vertices and the number of pairs that share a cell.  With no feasible
     vertex it returns (inf, zeros, 0, 0).
     """
+    pts = _t0_powers(e)
     head = [] if equality is None else [equality]
     H = np.vstack([*head, np.eye(4), constraints, _arrangement(pts, balance)])
     H /= np.sqrt((H * H).sum(axis=1, keepdims=True))
@@ -596,8 +591,8 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
 
     The infimum of max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) over the
     region is taken by _ratio_infimum's vertex enumeration: the region's
-    constraints (_claim_slacks, whose normals are their values at the unit
-    vectors) cut by the planes on whose cells the ratio has one closed form.
+    constraints (_claim_slacks) and claim 3's manifold, each read at the unit
+    vectors, cut by the planes on whose cells the ratio has one closed form.
     Claims 1-2 range over (a, b, c, d) >= 0; claim 3 over its F = G manifold
     b = c - (d - a) kappa, kappa = (1 + t0^p)/(t0^(p-1) + t0), with d >= a,
     b >= c t0^(2-p) and b >= 0.  That set lies inside the region
@@ -632,16 +627,15 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
         raise ValueError(f"claim {claim_id} requires p in [{lo}, {hi}], got {p!r}")
     if compute_mp(e).degenerate:
         raise ValueError(f"claim {claim_id} is undefined at p = 2, where M_2 = 0 and t0 = 0")
-    pts = _t0_powers(e)
-    t0 = pts[0]
+    t0, tp, tp1 = _t0_powers(e)
     t2p = t0 ** (2.0 - p)
     target = float(objective(t0, e))
     equality = None
     if claim_id == 3:
-        kappa = _kappa(pts)  # the manifold b - c + (d - a) kappa = 0
-        equality = np.array([-kappa, 1.0, -1.0, kappa])
-    constraints = np.array(_claim_slacks(claim_id, *np.eye(4), t2p))
-    _, x, vertices, segments = _ratio_infimum(e, pts, constraints, equality, balance=claim_id != 3 or p >= 2.0)
+        kappa = (1.0 + tp) / (tp1 + t0)  # the manifold b = c - (d - a) kappa
+        equality = np.array([(b - c) + (d - a) * kappa for a, b, c, d in _UNIT])
+    constraints = np.array([_claim_slacks(claim_id, *u, t2p) for u in _UNIT]).T
+    _, x, vertices, segments = _ratio_infimum(e, constraints, equality, balance=claim_id != 3 or p >= 2.0)
 
     m = float(x.max())
     if m > 0.0:

@@ -540,7 +540,16 @@ class TestBreakdown:
             assert code == 0
             assert single.splitlines()[1] == lines[row]
             assert lines[row].endswith("  holds")
-        assert lines[-1] == "no violation found at the scanned p"
+        assert lines[-1] == "no violation found at the scanned p; p = 2 undefined, not checked"
+
+    def test_one_point_scan_at_p2_checks_nothing(self, capsys):
+        # the one row is undefined, so the summary says that no p was checked
+        code, out = run(capsys, "breakdown", "--pmin", "2", "--pmax", "2", "--n", "1")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "  2.000000             -   0.000000000             -  undefined",
+            "no p checked: claim 3 is undefined at p = 2",
+        ]
 
 
 class TestEntrypoint:

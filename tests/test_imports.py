@@ -80,3 +80,41 @@ def test_serial_command_loads_no_process_pool(command):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def benchmark_hooks() -> set[tuple[str, str]]:
+    """The lpindex (module, attr) pairs that perfbench reaches, read off its source without importing it.
+
+    Each attribute of a name that `from lpindex import ...` binds, and the attr of
+    each (span name, module, attr) tuple, the form of tracing.LAYERS.
+    """
+    hooks = set()
+    for path in sorted(BENCHMARK.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {
+            a.asname or a.name: a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "lpindex"
+            for a in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                hooks.add((modules[node.value.id], node.attr))
+            elif isinstance(node, ast.Tuple) and len(node.elts) == 3:
+                name, mod, attr = node.elts
+                strings = all(isinstance(x, ast.Constant) and isinstance(x.value, str) for x in (name, attr))
+                if strings and isinstance(mod, ast.Name) and mod.id in modules:
+                    hooks.add((modules[mod.id], attr.value))
+    return hooks
+
+
+def test_benchmark_hooks_resolve():
+    # a rename of any lpindex name that perfbench reaches passes every other
+    # test but makes every benchmark run fail
+    hooks = benchmark_hooks()
+    assert hooks  # 19 pairs today, so the scan cannot pass vacuously
+    missing = [f"{m}.{attr}" for m, attr in sorted(hooks) if not hasattr(importlib.import_module(f"lpindex.{m}"), attr)]
+    assert missing == []

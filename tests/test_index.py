@@ -1,4 +1,5 @@
 import bisect
+import inspect
 import itertools
 import json
 import math
@@ -42,7 +43,6 @@ from lpindex.index import (
     _claim_slacks,
     _fold01,
     _halton,
-    _kappa,
     _nelder_mead_lockstep,
     _pair_table,
     _NM_MAX_ITER,
@@ -180,11 +180,12 @@ class TestBalanceB:
         # b = c - (d - a) kappa puts (a, b, c, d) on claim 3's F = G manifold
         p = 1.3
         e = make_exponent(p)
-        pts = _t0_powers(e)
+        t0, tp, tp1 = _t0_powers(e)
+        kappa = (1.0 + tp) / (tp1 + t0)
         balanced = 0
         for a, c, d in [(0.2, 1.0, 0.5), (0.05, 0.9, 0.3), (0.0, 1.0, 0.2)]:
-            b = c - (d - a) * _kappa(pts)
-            if b < 0.0 or a < d * pts[1]:
+            b = c - (d - a) * kappa
+            if b < 0.0 or a < d * tp:
                 continue
             T = SignPatternOp(a, b, c, d)
             assert abs(functional_F(T, e) - functional_G(T, e)) <= 1e-10
@@ -855,18 +856,19 @@ class TestClaimGridScoring:
         e = make_exponent(1.3)
         ref = verify_claim_region(claim_id, e)
 
-        def on_the_arrays(fn):
+        def patch(fn):
             def patched_fn(*args):
                 out = fn(*args)
+                if patched == "_claim_slacks":
+                    _, a, b, c, d, _ = args
+                    return out + (-(a + b + c + d),)
                 if not isinstance(args[1], np.ndarray):
                     return out
-                if patched == "branch_value":
-                    return np.full_like(out, np.inf)
-                return out + (np.full_like(args[1], -1.0),)
+                return np.full_like(out, np.inf)
 
             return patched_fn
 
-        monkeypatch.setattr(index, patched, on_the_arrays(getattr(index, patched)))
+        monkeypatch.setattr(index, patched, patch(getattr(index, patched)))
         rep = verify_claim_region(claim_id, e)
         if patched == "_claim_slacks":
             assert rep.infimum_found == math.inf and not rep.holds
@@ -953,7 +955,7 @@ class TestExactInfimum:
         # over all of a, b, c, d >= 0 the lower-bound ratio's infimum is M_p
         e = make_exponent(p)
         cp = compute_mp(e)
-        value, x, vertices, segments = _ratio_infimum(e, _t0_powers(e), np.empty((0, 4)))
+        value, x, vertices, segments = _ratio_infimum(e, np.empty((0, 4)))
         assert abs(value - cp.mp) <= 1e-15
         assert abs(x.sum() - 1.0) <= 1e-15 and (x >= -1e-12).all()
         assert vertices > 0 and segments > 0
@@ -975,14 +977,14 @@ class TestExactInfimum:
         # the F = G manifold that claim 3 searches attains the infimum over
         # the whole of claim 3's region
         e = make_exponent(p)
-        value = _ratio_infimum(e, _t0_powers(e), _claim3_region(p))[0]
+        value = _ratio_infimum(e, _claim3_region(p))[0]
         assert abs(verify_claim_region(3, e, force=True).infimum_found - value) <= 1e-15
 
     def test_no_feasible_vertex(self):
         # a constraint that only the zero operator meets; verify_claim_region's
         # report for it is TestClaimGridScoring::test_no_finite_ratio's
         e = make_exponent(1.3)
-        value, x, vertices, segments = _ratio_infimum(e, _t0_powers(e), -np.ones((1, 4)))
+        value, x, vertices, segments = _ratio_infimum(e, -np.ones((1, 4)))
         assert (value, x.tolist(), vertices, segments) == (math.inf, [0.0] * 4, 0, 0)
 
 
@@ -1052,6 +1054,52 @@ class TestArrangementMatchesFrozen:
                 continue
             pts = _t0_powers(make_exponent(p))
             assert _same_bits([_arrangement(pts, balance)], [_frozen_arrangement(pts, balance)])
+
+
+def _frozen_claim_normals(claim_id, pts, p):
+    """The literal constraint and equality normals that verify_claim_region reads off its formulas."""
+    t0, tp, tp1 = pts
+    t2p = t0 ** (2.0 - p)
+    constraints = {
+        1: [[0.0, 1.0, -1.0, 0.0], [1.0, -1.0, 1.0, -1.0]],
+        2: [[-1.0, 0.0, 0.0, 1.0], [1.0, -1.0, 1.0, -1.0], [-1.0, 0.0, t2p - 1.0, 1.0]],
+        3: [[-1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -t2p, 0.0], [0.0, 1.0, 0.0, 0.0]],
+    }[claim_id]
+    kappa = (1.0 + tp) / (tp1 + t0)
+    return np.array(constraints), None if claim_id != 3 else np.array([-kappa, 1.0, -1.0, kappa])
+
+
+class TestClaimNormalsMatchFrozen:
+    """verify_claim_region's constraint and equality normals, read off formulas, are the literal table's floats."""
+
+    @pytest.mark.parametrize(
+        "ps, force", [(_grid(1.2, 1.5, 100), False), (np.linspace(1.05, 6.0, 101).tolist(), True)],
+        ids=["verify-grid", "forced-1.05-6"],
+    )
+    def test_normals(self, monkeypatch, ps, force):
+        calls = []
+        solve = index._ratio_infimum
+        signature = inspect.signature(solve)
+
+        def recording(*args, **kwargs):
+            # the two normals by name, whatever else the enumeration takes
+            bound = signature.bind(*args, **kwargs).arguments
+            calls.append((bound["constraints"], bound.get("equality")))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(index, "_ratio_infimum", recording)
+        ps = [p for p in ps if p != 2.0]
+        for p in ps:
+            e = make_exponent(p)
+            for claim_id in (1, 2, 3):
+                del calls[:]
+                verify_claim_region(claim_id, e, force=force)
+                (constraints, equality), = calls
+                ref_constraints, ref_equality = _frozen_claim_normals(claim_id, _t0_powers(e), p)
+                assert _same_bits([constraints], [ref_constraints])
+                assert (equality is None) is (ref_equality is None)
+                if equality is not None:
+                    assert _same_bits([equality], [ref_equality])
 
 
 class TestSolveMatchesFrozen:
