@@ -92,10 +92,13 @@ def _step(pmin: float, pmax: float, n: int) -> float:
 
 
 def _grid(pmin: float, pmax: float, n: int) -> list[float]:
-    """The n equispaced exponents from pmin to pmax; one point only when pmin == pmax."""
+    """The n equispaced exponents from pmin to pmax; one point, and only one, when pmin == pmax."""
     if not (1.0 < pmin <= pmax < math.inf):
         raise ValueError(f"need 1 < pmin <= pmax < inf, got [{pmin}, {pmax}]")
-    if not (n >= 2 or (n == 1 and pmin == pmax)):
+    if pmin == pmax:
+        if n != 1:
+            raise ValueError(f"n must be 1 when pmin == pmax, got {n}")
+    elif n < 2:
         raise ValueError(f"n must be >= 2, or 1 when pmin == pmax, got {n}")
     step = _step(pmin, pmax, n)
     return [pmin + i * step for i in range(n)]

@@ -217,6 +217,36 @@ def _pair_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return ij[0], ij[1], pk[0], pk[1]
 
 
+@lru_cache(maxsize=4)
+def _unit_arrangement(pts: tuple[float, float, float]) -> np.ndarray:
+    """_arrangement(pts, True) with each row scaled to unit length, read-only.
+
+    Its first six rows are _arrangement(pts, False) scaled alike, bit for bit:
+    each row is scaled by its own length, and the balanced table starts with the
+    unbalanced one.  One table serves the three claims at one exponent.
+    """
+    A = _arrangement(pts, True)
+    A /= np.sqrt((A * A).sum(axis=1, keepdims=True))
+    A.flags.writeable = False
+    return A
+
+
+def _rows_at_least(A: np.ndarray, floor: float) -> np.ndarray:
+    """Whether each row of A is >= floor throughout; column by column, faster than .all(axis=1) on short rows."""
+    ok = A[:, 0] >= floor
+    for column in A.T[1:]:
+        ok &= column >= floor
+    return ok
+
+
+@lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1): the pairs i < j below n in row-major order, as two read-only arrays."""
+    I, J = np.triu_indices(n, 1)
+    I.flags.writeable = J.flags.writeable = False
+    return I, J
+
+
 # (dx, dy): for 4-vectors g and h, g[dx] h[dy] - g[dy] h[dx] is the 4 x 4 Hodge dual of
 # g ^ h, and its product with a third vector k is a vector orthogonal to g, h and k
 _DUAL = np.array(
@@ -245,14 +275,14 @@ def _solve_triples(H: np.ndarray, prefix: bool) -> tuple[np.ndarray, np.ndarray]
     if prefix:
         n = (m - 1) * (m - 2) // 2
         i, j, pair, k = i[: m - 1], j[: m - 1], pair[:n], k[:n]
-    # D[l, c] holds entry (l, c) of every pair's dual, N[l] coordinate l of every triple's normal
+    # P[c, l] holds entry (l, c) of every triple's pair dual times coordinate c of its third
+    # plane, N[l] coordinate l of every triple's normal
     (dx, dy), g, h = _DUAL, H.take(i, axis=0).T, H.take(j, axis=0).T
-    D = g[dx] * h[dy] - g[dy] * h[dx]
-    K = H.T.take(k, axis=1)
-    N = D[:, 0].take(pair, axis=1) * K[0]
-    N += 0.0
+    P = (g[dx.T] * h[dy.T] - g[dy.T] * h[dx.T]).take(pair, axis=2)
+    P *= H.T.take(k, axis=1)[:, None]
+    N = P[0] + 0.0
     for c in (1, 2, 3):
-        N += D[:, c].take(pair, axis=1) * K[c]
+        N += P[c]
     cut = ((N[0] + N[1]) + N[2]) + N[3]
     with np.errstate(divide="ignore", invalid="ignore"):
         N /= cut
@@ -275,9 +305,16 @@ def _ratio_infimum(e: Exponent, constraints: np.ndarray, equality=None, balance:
     The vertices are the points of the cut a + b + c + d = 1 on three of the
     planes (the equality, when given, always one of them) that meet every
     constraint; two vertices share a cell when no arrangement plane strictly
-    separates them.  A triple's normal is its pair's 4 x 4 Hodge dual, formed
-    once per pair of planes, times the third plane's normal.  With p_c the
-    dual's column c times the third normal's coordinate c, it is summed as
+    separates them.  Feasibility is tested on the solved points: a triple whose
+    determinant with the cut exceeds 1e-13 has a finite point x, and its slack
+    on the unit normal e_l, x_l * 1 plus three products +-0, is x_l itself.  So
+    a, b, c, d >= 0 is read off the coordinates, and only the points that pass
+    meet np.einsum("nc,kc->nk") against the equality and constraints, with X
+    contiguous (n, 4), which keeps each slack's order of sums.
+
+    A triple's normal is its pair's 4 x 4 Hodge dual, formed once per pair of
+    planes, times the third plane's normal.  With p_c the dual's column c
+    times the third normal's coordinate c, it is summed as
     (((0.0 + p_0) + p_1) + p_2) + p_3; the leading +0.0 turns a -0.0 product
     into +0.0.  np.einsum("nlc,nc->nl") sums in that order on strided
     operands but as (p_0 + p_2) + (p_1 + p_3) on contiguous ones, so its bits
@@ -292,38 +329,44 @@ def _ratio_infimum(e: Exponent, constraints: np.ndarray, equality=None, balance:
     vertex it returns (inf, zeros, 0, 0).
     """
     pts = _t0_powers(e)
-    head = [] if equality is None else [equality]
-    H = np.vstack([*head, np.eye(4), constraints, _arrangement(pts, balance)])
-    H /= np.sqrt((H * H).sum(axis=1, keepdims=True))
-    nc = len(head) + 4 + len(constraints)
+    planes = _unit_arrangement(pts) if balance else _unit_arrangement(pts)[:6]
+    own = constraints if equality is None else np.concatenate([[equality], constraints])
+    own = own / np.sqrt((own * own).sum(axis=1, keepdims=True))
+    head = len(own) - len(constraints)
+    H = np.concatenate([own[:head], np.eye(4), own[head:], planes])
     cut, X = _solve_triples(H, equality is not None)
-    with np.errstate(invalid="ignore"):
-        feasible = (np.abs(cut) > _VERTEX_DET) & (np.einsum("nc,kc->nk", X, H[:nc]) >= -_VERTEX_TOL).all(axis=1)
-    X = X[feasible]
+    X = X.compress((np.abs(cut) > _VERTEX_DET) & _rows_at_least(X, -_VERTEX_TOL), axis=0)
+    if len(own):
+        X = X.compress(_rows_at_least(np.einsum("nc,kc->nk", X, own), -_VERTEX_TOL), axis=0)
     if not len(X):
         return math.inf, np.zeros(4), 0, 0
     # one row per vertex: sort on the rounded coordinates, keep the first of each run
     key = np.round(X, 12)
     order = np.lexsort(key.T)
-    key = key[order]
+    key = key.take(order, axis=0)
     first = np.ones(len(X), dtype=bool)
     first[1:] = (key[1:] != key[:-1]).any(axis=1)
-    V = X[order[first]]
+    V = X.take(order.compress(first), axis=0)
 
     a, b, c, d = V.T
     rp, rq = 1.0 / e.p, 1.0 / e.q
     fg = np.maximum(branch_value(a, b, -c, -d, *pts), branch_value(d, c, -b, -a, *pts))
-    side = np.einsum("vc,kc->vk", V, H[nc:])
-    pos, neg = side > _VERTEX_TOL, side < -_VERTEX_TOL
-    clash = (pos[:, None, :] & neg[None, :, :]).any(axis=2)
-    I, J = np.nonzero(np.triu(~(clash | clash.T), 1))
+    # each vertex's strict sides of the 6 or 14 planes as bits (summed: a first @ costs 0.27 MB of
+    # resident memory); two vertices share a cell when no plane has them strictly on opposite sides
+    side = np.einsum("vc,kc->vk", V, planes)
+    bit = 1 << np.arange(len(planes))
+    pos, neg = ((side > _VERTEX_TOL) * bit).sum(axis=1), ((side < -_VERTEX_TOL) * bit).sum(axis=1)
+    I, J = _upper_pairs(len(V))
+    share = ((pos[I] & neg[J]) | (neg[I] & pos[J])) == 0
+    I, J = I.compress(share), J.compress(share)
     with np.errstate(divide="ignore", invalid="ignore"):
         u, v = np.maximum(a + c, b + d) / fg, np.maximum(a + b, c + d) / fg
         du, dv = u[J] - u[I], v[J] - v[I]
         s = -(du * v[I] * rp + dv * u[I] * rq) / (du * dv)
         s = np.where((s > 0.0) & (s < 1.0), s, np.nan)
         ratio = np.concatenate((u, u[I] + s * du)) ** -rp * np.concatenate((v, v[I] + s * dv)) ** -rq
-    best = int(np.nanargmin(ratio))
+    # every vertex's ratio is finite, as fg > 0 on the simplex; a segment without a stationary point is nan
+    best = int(np.argmin(np.where(np.isnan(ratio), np.inf, ratio)))
     if best < len(V):
         x = V[best]
     else:
@@ -637,9 +680,10 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
     constraints = np.array([_claim_slacks(claim_id, *u, t2p) for u in _UNIT]).T
     _, x, vertices, segments = _ratio_infimum(e, constraints, equality, balance=claim_id != 3 or p >= 2.0)
 
-    m = float(x.max())
+    x = x.tolist()
+    m = max(x)
     if m > 0.0:
-        worst = SignPatternOp(*((v if v > 0.0 else 0.0) / m for v in x.tolist()))
+        worst = SignPatternOp(*((v if v > 0.0 else 0.0) / m for v in x))
         value = alpha_ratio(worst, e)
     else:
         worst, value = SignPatternOp(0.0, 0.0, 0.0, 0.0), math.inf

@@ -422,6 +422,16 @@ class TestGridRule:
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", sorted(GRID_ROWS))
+    def test_one_point_runs_once(self, capsys, rows, command):
+        # equal ends with n > 1 would run one exponent n times
+        calls = rows(command)
+        assert self._main(command, "--pmin", "1.3", "--pmax", "1.3", "--n", "5") == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be 1 when pmin == pmax, got 5\n"
+
+    @pytest.mark.parametrize("command", sorted(GRID_ROWS))
     def test_empty_grid_exits_2(self, capsys, rows, command):
         calls = rows(command)
         assert self._main(command, "--n", "0") == 2

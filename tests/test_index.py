@@ -36,7 +36,7 @@ from lpindex import (
 )
 from lpindex import index
 from lpindex.cli import _grid, _verify_row
-from lpindex.radius import branch_integrand
+from lpindex.radius import branch_integrand, branch_value
 from lpindex.index import (
     SURROGATE_N,
     _arrangement,
@@ -51,6 +51,8 @@ from lpindex.index import (
     _RatioSearch,
     _solve_triples,
     _t0_powers,
+    _unit_arrangement,
+    _upper_pairs,
 )
 
 ROTATION_PATTERN = SignPatternOp(0.0, 1.0, 1.0, 0.0)
@@ -1144,8 +1146,92 @@ class TestSolveMatchesFrozen:
         assert zeros > 100 and degenerate > 10
 
 
+def _frozen_ratio_infimum(e, constraints, equality=None, balance=True):
+    """_ratio_infimum as it read before feasibility came off the solved coordinates: one np.einsum
+    of every point against every constraint, nonnegativity included, its cell pairs from np.triu
+    and np.nonzero and its pick by np.nanargmin; planes from the literal table, points from
+    _frozen_solve."""
+    pts = _t0_powers(e)
+    head = [] if equality is None else [equality]
+    H = np.vstack([*head, np.eye(4), constraints, _frozen_arrangement(pts, balance)])
+    H /= np.sqrt((H * H).sum(axis=1, keepdims=True))
+    nc = len(head) + 4 + len(constraints)
+    cut, X = _frozen_solve(H, equality is not None)
+    with np.errstate(invalid="ignore"):
+        feasible = (np.abs(cut) > 1e-13) & (np.einsum("nc,kc->nk", X, H[:nc]) >= -1e-12).all(axis=1)
+    X = X[feasible]
+    if not len(X):
+        return math.inf, np.zeros(4), 0, 0
+    key = np.round(X, 12)
+    order = np.lexsort(key.T)
+    key = key[order]
+    first = np.ones(len(X), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    V = X[order[first]]
+    a, b, c, d = V.T
+    rp, rq = 1.0 / e.p, 1.0 / e.q
+    fg = np.maximum(branch_value(a, b, -c, -d, *pts), branch_value(d, c, -b, -a, *pts))
+    side = np.einsum("vc,kc->vk", V, H[nc:])
+    pos, neg = side > 1e-12, side < -1e-12
+    clash = (pos[:, None, :] & neg[None, :, :]).any(axis=2)
+    I, J = np.nonzero(np.triu(~(clash | clash.T), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v = np.maximum(a + c, b + d) / fg, np.maximum(a + b, c + d) / fg
+        du, dv = u[J] - u[I], v[J] - v[I]
+        s = -(du * v[I] * rp + dv * u[I] * rq) / (du * dv)
+        s = np.where((s > 0.0) & (s < 1.0), s, np.nan)
+        ratio = np.concatenate((u, u[I] + s * du)) ** -rp * np.concatenate((v, v[I] + s * dv)) ** -rq
+    best = int(np.nanargmin(ratio))
+    if best < len(V):
+        x = V[best]
+    else:
+        q = best - len(V)
+        x = (1.0 - s[q]) * V[I[q]] / fg[I[q]] + s[q] * V[J[q]] / fg[J[q]]
+        x = x / x.sum()
+    return float(ratio[best]), x, len(V), len(I)
+
+
+def _same_result(got, ref):
+    """Two (value, x, vertices, segments) results agree bit for bit."""
+    return _same_bits([np.array([got[0]]), got[1]], [np.array([ref[0]]), ref[1]]) and got[2:] == ref[2:]
+
+
+class TestRatioInfimumMatchesFrozen:
+    """The enumeration gives the frozen form's value, point and counts bit for bit."""
+
+    @pytest.mark.parametrize(
+        "ps, force", [(_grid(1.2, 1.5, 100), False), (np.linspace(1.05, 6.0, 101).tolist(), True)],
+        ids=["verify-grid", "forced-1.05-6"],
+    )
+    def test_claim_calls(self, monkeypatch, ps, force):
+        calls = []
+        solve = index._ratio_infimum
+
+        def recording(*args, **kwargs):
+            got = solve(*args, **kwargs)
+            calls.append((args, kwargs, got))
+            return got
+
+        monkeypatch.setattr(index, "_ratio_infimum", recording)
+        ps = [p for p in ps if p != 2.0]
+        for p in ps:
+            for claim_id in (1, 2, 3):
+                verify_claim_region(claim_id, make_exponent(p), force=force)
+        assert len(calls) == 3 * len(ps)
+        for args, kwargs, got in calls:
+            assert _same_result(got, _frozen_ratio_infimum(*args, **kwargs))
+
+    @pytest.mark.parametrize("p", [1.1, 1.16, 1.17064, 1.5, 3.0, 6.86, 8.0, 13.5])
+    def test_whole_class(self, p):
+        e = make_exponent(p)
+        got = _ratio_infimum(e, np.empty((0, 4)))
+        assert got[2] > 0 and got[3] > 0
+        assert _same_result(got, _frozen_ratio_infimum(e, np.empty((0, 4))))
+
+
 class TestClaimMesh:
-    """The claim enumeration's one cache: the table of plane pairs and triples."""
+    """The claim enumeration's caches: the table of plane pairs and triples per plane count, the
+    unit-normal arrangement per exponent and the vertex pairs per vertex count."""
 
     @pytest.mark.parametrize("claim_id", [1, 2, 3])
     def test_read_only_and_reused(self, monkeypatch, claim_id):
@@ -1190,7 +1276,56 @@ class TestClaimMesh:
         assert _pair_table(7)[2] is pair
 
     def test_import_builds_nothing(self):
-        assert _fresh_python("import lpindex; print(lpindex.index._pair_table.cache_info().currsize)") == "0"
+        code = "import lpindex; print(*(f.cache_info().currsize for f in (lpindex.index._pair_table, "
+        code += "lpindex.index._unit_arrangement, lpindex.index._upper_pairs)))"
+        assert _fresh_python(code) == "0 0 0"
+
+    def test_one_arrangement_per_row(self, monkeypatch):
+        # claims 1 and 2 read all of it and claim 3 its first six rows
+        built = []
+        arrangement = index._arrangement
+
+        def recording(pts, balance):
+            built.append(balance)
+            return arrangement(pts, balance)
+
+        monkeypatch.setattr(index, "_arrangement", recording)
+        _unit_arrangement.cache_clear()
+        _verify_row(1.3)
+        assert built == [True]
+        _verify_row(1.3)
+        assert built == [True]
+
+    def test_unit_arrangement(self):
+        for p in _grid(1.2, 1.5, 100) + [1.05, 1.16, 2.5, 6.0]:
+            pts = _t0_powers(make_exponent(p))
+            A = _unit_arrangement(pts)
+            assert not A.flags.writeable
+            with pytest.raises(ValueError):
+                A[0, 0] = 1.0
+            assert _unit_arrangement(pts) is A
+            for balance, rows in ((True, A), (False, A[:6])):
+                ref = _arrangement(pts, balance)
+                ref /= np.sqrt((ref * ref).sum(axis=1, keepdims=True))
+                assert _same_bits([rows], [ref])
+
+    def test_upper_pairs(self):
+        for n in (1, 2, 7, 15, 87):
+            I, J = _upper_pairs(n)
+            assert not I.flags.writeable and not J.flags.writeable
+            ref = np.nonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+            assert I.tolist() == ref[0].tolist() and J.tolist() == ref[1].tolist()
+            assert _upper_pairs(n)[0] is I
+
+    def test_other_caches_bounded(self):
+        # one arrangement per exponent (pts stands in for t0's powers), one pair list per vertex count
+        pts = [(t, t**1.3, t**0.3) for t in np.linspace(0.1, 0.2, 20).tolist()]
+        for cache, args in ((_unit_arrangement, pts), (_upper_pairs, range(2, 22))):
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and maxsize <= 16
+            for a in args:
+                cache(a)
+            assert cache.cache_info().currsize == maxsize
 
     def test_warm_call_peak(self):
         # a warm claim-2 call (21 planes, 1,330 triples) forms one 4 x 4 dual per
