@@ -91,6 +91,11 @@ def _step(pmin: float, pmax: float, n: int) -> float:
     return (pmax - pmin) / max(n - 1, 1)
 
 
+def _decimals(step: float, least: int) -> int:
+    """Decimals that show a grid step's leading digit, and so tell the grid's points apart; least at the fewest."""
+    return least if step <= 0.0 else max(least, math.ceil(-math.log10(step)))
+
+
 def _grid(pmin: float, pmax: float, n: int) -> list[float]:
     """The n equispaced exponents from pmin to pmax; one point, and only one, when pmin == pmax."""
     if not (1.0 < pmin <= pmax < math.inf):
@@ -238,27 +243,31 @@ def cmd_sweep(args) -> int:
 def cmd_breakdown(args) -> int:
     """Scan claim 3's F = G manifold for where the lower-bound route fails, one float64 infimum per p.
 
-    Every row is computed before the header is printed.  p = 2, where M_2 = 0 leaves claim 3 without
-    a t0, is a row of its own, status undefined, that neither holds nor is violated; the summary line
-    says that it was not checked.  Not a proof:
-    only the p-step is a resolution, so the largest violating p is known to within one step.
+    Every row is computed before the header is printed.  p and the step are printed with as many
+    decimals as the step needs, at least 6 and 4, so no two rows share a label.  p = 2, where
+    M_2 = 0 leaves claim 3 without a t0, is a row of its own, status undefined, that neither holds
+    nor is violated; the summary line says that it was not checked.  Not a proof: only the p-step
+    is a resolution, so the largest violating p is known to within one step.
     """
     ps = _grid(args.pmin, args.pmax, args.n)
     es = [make_exponent(p) for p in ps]
     reps = [None if compute_mp(e).degenerate else verify_claim_region(3, e, force=True) for e in es]
+    step = _step(args.pmin, args.pmax, args.n)
+    dp = _decimals(step, 6)
+    width = dp + 4
     violating = []
-    print(f"{'p':>10}  {'inf_found':>12}  {'target':>12}  {'gap':>12}  status")
+    print(f"{'p':>{width}}  {'inf_found':>12}  {'target':>12}  {'gap':>12}  status")
     for p, rep in zip(ps, reps):
         if rep is None:
-            print(f"{p:>10.6f}  {'-':>12}  {0.0:>12.9f}  {'-':>12}  undefined")  # M_2 = 0
+            print(f"{p:>{width}.{dp}f}  {'-':>12}  {0.0:>12.9f}  {'-':>12}  undefined")  # M_2 = 0
             continue
         gap = rep.infimum_found - rep.target
         status = "holds" if rep.holds else "VIOLATED"
-        print(f"{p:>10.6f}  {rep.infimum_found:>12.9f}  {rep.target:>12.9f}  {gap:>+12.3e}  {status}")
+        print(f"{p:>{width}.{dp}f}  {rep.infimum_found:>12.9f}  {rep.target:>12.9f}  {gap:>+12.3e}  {status}")
         if not rep.holds:
             violating.append(p)
             w = rep.worst_point
-            print(f"{'':>10}  witness (a,b,c,d) = ({w.a:.6f}, {w.b:.6f}, {w.c:.6f}, {w.d:.6f})")
+            print(f"{'':>{width}}  witness (a,b,c,d) = ({w.a:.6f}, {w.b:.6f}, {w.c:.6f}, {w.d:.6f})")
     if all(rep is None for rep in reps):
         print("no p checked: claim 3 is undefined at p = 2")
         return 0
@@ -266,10 +275,10 @@ def cmd_breakdown(args) -> int:
     if not violating:
         print(f"no violation found at the scanned p{note}")
     else:
-        step = _step(args.pmin, args.pmax, args.n)
         print(
             f"violations found for {len(violating)} scanned p, "
-            f"largest violating p = {max(violating):.6f} (resolution {step:.4f}, not certified){note}"
+            f"largest violating p = {max(violating):.{dp}f} (resolution {step:.{_decimals(step, 4)}f}, not certified)"
+            f"{note}"
         )
     return 0
 

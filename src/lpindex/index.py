@@ -183,60 +183,26 @@ def _claim_slacks(claim_id: int, a, b, c, d, t2p: float) -> tuple:
     return (d - a, b - c * t2p, b)
 
 
-def _arrangement(pts: tuple[float, float, float], balance: bool) -> np.ndarray:
-    """Normals of the planes on whose cells max(F, G), max(a + c, b + d) and max(a + b, c + d) are linear.
+@lru_cache(maxsize=4)
+def _arrangement(pts: tuple[float, float, float]) -> np.ndarray:
+    """Unit normals of the planes on whose cells max(F, G), max(a + c, b + d) and max(a + b, c + d) are linear.
 
     pts = _t0_powers(e).  The four |.| arguments of F and G (branch_args at
-    (a, b, -c, -d) and (d, c, -b, -a)), the two max switches and, with
-    balance, the eight F = G candidates: one per sign pattern of the |.|
-    arguments, up to the sign of the whole pattern, which gives the same
-    plane.  Each form is linear, so its values at the unit vectors are its normal.
+    (a, b, -c, -d) and (d, c, -b, -a)), the two max switches and the eight
+    F = G candidates: one per sign pattern of the |.| arguments, up to the sign
+    of the whole pattern, which gives the same plane.  Each form is linear, so
+    its values at the unit vectors are its normal.  Each row is scaled by its
+    own length, so the first six are the same bits without the F = G rows.
+    Read-only; one table serves the three claims at one exponent.
     """
     forms = [(*branch_args(a, b, -c, -d, *pts), *branch_args(d, c, -b, -a, *pts), (a + c) - (b + d), (a + b) - (c + d))
              for a, b, c, d in _UNIT]
     planes = np.array(forms).T
-    if not balance:
-        return planes
     s1, s2, s3 = _SIGNS
-    return np.concatenate([planes, planes[0] + s1 * planes[1] - s2 * planes[2] - s3 * planes[3]])
-
-
-@lru_cache(maxsize=4)
-def _pair_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The plane pairs i < j and triples i < j < k below m, in lexicographic order, as four read-only arrays.
-
-    Returns (i, j, pair, k): each pair's two planes, and each triple's pair
-    (its position in i and j) and third plane.  The first m - 1 pairs and the
-    first (m - 1)(m - 2)/2 triples are those with i = 0.
-    """
-    pairs = list(itertools.combinations(range(m), 2))
-    rank = {ij: n for n, ij in enumerate(pairs)}
-    pair_k = [(rank[i, j], k) for i, j, k in itertools.combinations(range(m), 3)]
-    ij, pk = (np.array(x, dtype=np.intp).reshape(-1, 2).T.copy() for x in (pairs, pair_k))
-    ij.flags.writeable = pk.flags.writeable = False
-    return ij[0], ij[1], pk[0], pk[1]
-
-
-@lru_cache(maxsize=4)
-def _unit_arrangement(pts: tuple[float, float, float]) -> np.ndarray:
-    """_arrangement(pts, True) with each row scaled to unit length, read-only.
-
-    Its first six rows are _arrangement(pts, False) scaled alike, bit for bit:
-    each row is scaled by its own length, and the balanced table starts with the
-    unbalanced one.  One table serves the three claims at one exponent.
-    """
-    A = _arrangement(pts, True)
+    A = np.concatenate([planes, planes[0] + s1 * planes[1] - s2 * planes[2] - s3 * planes[3]])
     A /= np.sqrt((A * A).sum(axis=1, keepdims=True))
     A.flags.writeable = False
     return A
-
-
-def _rows_at_least(A: np.ndarray, floor: float) -> np.ndarray:
-    """Whether each row of A is >= floor throughout; column by column, faster than .all(axis=1) on short rows."""
-    ok = A[:, 0] >= floor
-    for column in A.T[1:]:
-        ok &= column >= floor
-    return ok
 
 
 @lru_cache(maxsize=16)
@@ -245,6 +211,29 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     I, J = np.triu_indices(n, 1)
     I.flags.writeable = J.flags.writeable = False
     return I, J
+
+
+@lru_cache(maxsize=4)
+def _pair_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The plane pairs i < j and triples i < j < k below m, in lexicographic order, as four read-only arrays.
+
+    Returns (i, j, pair, k): each pair's two planes, _upper_pairs(m), and each
+    triple's pair (its position in i and j) and third plane.  The first m - 1
+    pairs and the first (m - 1)(m - 2)/2 triples are those with i = 0.
+    """
+    i, j = _upper_pairs(m)
+    # each pair followed by each k > j in turn: the order of itertools.combinations(range(m), 3)
+    pair, k = (x.copy() for x in np.nonzero(np.arange(m) > j[:, None]))
+    pair.flags.writeable = k.flags.writeable = False
+    return i, j, pair, k
+
+
+def _rows_at_least(A: np.ndarray, floor: float) -> np.ndarray:
+    """Whether each row of A is >= floor throughout; column by column, faster than .all(axis=1) on short rows."""
+    ok = A[:, 0] >= floor
+    for column in A.T[1:]:
+        ok &= column >= floor
+    return ok
 
 
 # (dx, dy): for 4-vectors g and h, g[dx] h[dy] - g[dy] h[dx] is the 4 x 4 Hodge dual of
@@ -267,8 +256,18 @@ def _solve_triples(H: np.ndarray, prefix: bool) -> tuple[np.ndarray, np.ndarray]
 
     Returns (cut, X): each triple's determinant with the cut, shape
     (triples,), and its point, shape (triples, 4), inf or nan where cut is 0.
-    With prefix, only the triples with i = 0.  _ratio_infimum states the
-    order of the sums.
+    With prefix, only the triples with i = 0.
+
+    A triple's normal is its pair's 4 x 4 Hodge dual, formed once per pair of
+    planes, times the third plane's normal.  With p_c the dual's column c
+    times the third normal's coordinate c, it is summed as
+    (((0.0 + p_0) + p_1) + p_2) + p_3; the leading +0.0 turns a -0.0 product
+    into +0.0.  np.einsum("nlc,nc->nl") sums in that order on strided
+    operands but as (p_0 + p_2) + (p_1 + p_3) on contiguous ones, so its bits
+    depend on memory layout; writing the sum out pins the order.  The
+    determinant with the cut, the sum of the normal's coordinates N_l, is
+    likewise ((N_0 + N_1) + N_2) + N_3, the order of numpy's sum along a
+    contiguous row of four.
     """
     m = len(H)
     i, j, pair, k = _pair_table(m)
@@ -293,12 +292,12 @@ def _ratio_infimum(e: Exponent, constraints: np.ndarray, equality=None, balance:
     """Least max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) over a, b, c, d >= 0 with constraints @ x >= 0.
 
     constraints is a (k, 4) array of normals, equality (optional) one more
-    normal with equality @ x == 0, and balance adds the F = G planes to
-    _arrangement, taken at _t0_powers(e).  On a cell of the arrangement the
-    ratio is L / (M1^(1/p) M2^(1/q)), of degree 0, with L, M1 and M2 linear.
-    So in (u, v) = (M1/L, M2/L) its infimum over the cell is the least
-    u^(-1/p) v^(-1/q) over a polygon spanned by the images of the cell's
-    vertices, which is attained at a vertex or at a stationary point
+    normal with equality @ x == 0, and the arrangement is _arrangement at
+    _t0_powers(e), without its F = G planes unless balance.  On a cell of the
+    arrangement the ratio is L / (M1^(1/p) M2^(1/q)), of degree 0, with L, M1
+    and M2 linear.  So in (u, v) = (M1/L, M2/L) its infimum over the cell is
+    the least u^(-1/p) v^(-1/q) over a polygon spanned by the images of the
+    cell's vertices, which is attained at a vertex or at a stationary point
     s = -(du v1/p + dv u1/q)/(du dv) in (0, 1) of the segment between two of
     them (concave-convex fractional programming: Dinkelbach 1967, Schaible 1976).
 
@@ -312,24 +311,13 @@ def _ratio_infimum(e: Exponent, constraints: np.ndarray, equality=None, balance:
     meet np.einsum("nc,kc->nk") against the equality and constraints, with X
     contiguous (n, 4), which keeps each slack's order of sums.
 
-    A triple's normal is its pair's 4 x 4 Hodge dual, formed once per pair of
-    planes, times the third plane's normal.  With p_c the dual's column c
-    times the third normal's coordinate c, it is summed as
-    (((0.0 + p_0) + p_1) + p_2) + p_3; the leading +0.0 turns a -0.0 product
-    into +0.0.  np.einsum("nlc,nc->nl") sums in that order on strided
-    operands but as (p_0 + p_2) + (p_1 + p_3) on contiguous ones, so its bits
-    depend on memory layout; writing the sum out pins the order.  The
-    determinant with the cut, the sum of the normal's coordinates N_l, is
-    likewise ((N_0 + N_1) + N_2) + N_3, the order of numpy's sum along a
-    contiguous row of four.
-
     Returns (value, x, vertices, segments): the least ratio, a point x with
     a + b + c + d = 1 where it is taken, the number of distinct feasible
     vertices and the number of pairs that share a cell.  With no feasible
     vertex it returns (inf, zeros, 0, 0).
     """
     pts = _t0_powers(e)
-    planes = _unit_arrangement(pts) if balance else _unit_arrangement(pts)[:6]
+    planes = _arrangement(pts) if balance else _arrangement(pts)[:6]
     own = constraints if equality is None else np.concatenate([[equality], constraints])
     own = own / np.sqrt((own * own).sum(axis=1, keepdims=True))
     head = len(own) - len(constraints)

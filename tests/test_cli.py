@@ -511,6 +511,23 @@ class TestBreakdown:
         last = out.splitlines()[-1]
         assert last.startswith("violations found for 15 scanned p, largest violating p = 1.170000 ")
 
+    def test_fine_step_labels_every_row(self, capsys):
+        # a step of 5e-8 prints p with 8 decimals, so the three rows keep three labels
+        code, out = run(capsys, "breakdown", "--pmin", "1.1706333", "--pmax", "1.1706334", "--n", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines[1:4]] == ["1.17063330", "1.17063335", "1.17063340"]
+        # the header's p stays right-aligned over the wider labels
+        assert lines[0].index("p  ") + 1 == len("  1.17063330")
+
+    def test_fine_step_states_its_resolution(self, capsys):
+        # a step of 5e-5 is printed with the 5 decimals it needs, not as 0.0000
+        code, out = run(capsys, "breakdown", "--pmin", "1.17", "--pmax", "1.1701", "--n", "3")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "violations found for 3 scanned p, largest violating p = 1.170100 (resolution 0.00005, not certified)"
+        )
+
     def test_rejects_infinite_pmax(self):
         proc = _python_m_lpindex("breakdown", "--pmax", "inf")
         out, err = proc.communicate()

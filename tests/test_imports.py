@@ -118,3 +118,53 @@ def test_benchmark_hooks_resolve():
     assert hooks  # 19 pairs today, so the scan cannot pass vacuously
     missing = [f"{m}.{attr}" for m, attr in sorted(hooks) if not hasattr(importlib.import_module(f"lpindex.{m}"), attr)]
     assert missing == []
+
+
+def unread_private_names(paths) -> list[str]:
+    """The module-level names starting with _ (dunders aside) that no module in paths reads outside their own
+    definition, as "module.name"; read off the source without importing it.
+
+    A read is a loaded name, an attribute or an imported name; a function that only calls itself is unread.
+    """
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            for name in names:
+                if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                    continue
+                read = any(
+                    id(n) not in inside
+                    and (
+                        (isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+                        or (isinstance(n, ast.Attribute) and n.attr == name)
+                        or (isinstance(n, ast.alias) and n.name == name)
+                    )
+                    for other in trees.values()
+                    for n in ast.walk(other)
+                )
+                if not read:
+                    found.append(f"{mod}.{name}")
+    return found
+
+
+def test_unread_private_names_finds_a_dead_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = []\n_used = 1\n_alias = _used\n\ndef _loop(n):\n    return _loop(n - 1)\n\n"
+        "def _called():\n    return _used\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import _called\nfrom . import a\nx = a._alias\n_dead, y = 1, 2\n")
+    assert unread_private_names(sorted(tmp_path.glob("*.py"))) == ["a._loop", "b._dead"]
+
+
+def test_every_private_name_is_read():
+    # a helper left behind after its callers moved on, or kept as an alias, is dead code
+    assert unread_private_names(sorted(PACKAGE.glob("*.py"))) == []

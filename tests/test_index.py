@@ -51,7 +51,6 @@ from lpindex.index import (
     _RatioSearch,
     _solve_triples,
     _t0_powers,
-    _unit_arrangement,
     _upper_pairs,
 )
 
@@ -1044,7 +1043,8 @@ def _frozen_arrangement(pts, balance):
 
 
 class TestArrangementMatchesFrozen:
-    """_arrangement's planes, evaluated from the formulas at the unit vectors, are the literal table's floats."""
+    """_arrangement's planes, evaluated from the formulas at the unit vectors, are the literal table's floats
+    scaled to unit rows: all fourteen rows with the F = G planes, the first six without."""
 
     @pytest.mark.parametrize("balance", [False, True])
     @pytest.mark.parametrize(
@@ -1055,7 +1055,14 @@ class TestArrangementMatchesFrozen:
             if p == 2.0:
                 continue
             pts = _t0_powers(make_exponent(p))
-            assert _same_bits([_arrangement(pts, balance)], [_frozen_arrangement(pts, balance)])
+            A = _arrangement(pts)
+            assert not A.flags.writeable
+            with pytest.raises(ValueError):
+                A[0, 0] = 1.0
+            assert _arrangement(pts) is A
+            ref = _frozen_arrangement(pts, balance)
+            ref /= np.sqrt((ref * ref).sum(axis=1, keepdims=True))
+            assert _same_bits([A if balance else A[:6]], [ref])
 
 
 def _frozen_claim_normals(claim_id, pts, p):
@@ -1231,7 +1238,7 @@ class TestRatioInfimumMatchesFrozen:
 
 class TestClaimMesh:
     """The claim enumeration's caches: the table of plane pairs and triples per plane count, the
-    unit-normal arrangement per exponent and the vertex pairs per vertex count."""
+    unit-normal arrangement per exponent and the pairs i < j per count, of vertices or planes."""
 
     @pytest.mark.parametrize("claim_id", [1, 2, 3])
     def test_read_only_and_reused(self, monkeypatch, claim_id):
@@ -1251,6 +1258,9 @@ class TestClaimMesh:
         assert sizes == [m]
         arrays = i, j, pair, k = _pair_table(m)
         assert list(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(m), 2))
+        # the plane pairs are the vertex cell test's pair rule
+        I, J = _upper_pairs(m)
+        assert np.array_equal(i, I) and np.array_equal(j, J)
         assert list(zip(i[pair].tolist(), j[pair].tolist(), k.tolist())) == list(itertools.combinations(range(m), 3))
         for x in arrays:
             assert not x.flags.writeable
@@ -1277,37 +1287,16 @@ class TestClaimMesh:
 
     def test_import_builds_nothing(self):
         code = "import lpindex; print(*(f.cache_info().currsize for f in (lpindex.index._pair_table, "
-        code += "lpindex.index._unit_arrangement, lpindex.index._upper_pairs)))"
+        code += "lpindex.index._arrangement, lpindex.index._upper_pairs)))"
         assert _fresh_python(code) == "0 0 0"
 
-    def test_one_arrangement_per_row(self, monkeypatch):
+    def test_one_arrangement_per_row(self):
         # claims 1 and 2 read all of it and claim 3 its first six rows
-        built = []
-        arrangement = index._arrangement
-
-        def recording(pts, balance):
-            built.append(balance)
-            return arrangement(pts, balance)
-
-        monkeypatch.setattr(index, "_arrangement", recording)
-        _unit_arrangement.cache_clear()
+        _arrangement.cache_clear()
         _verify_row(1.3)
-        assert built == [True]
+        assert _arrangement.cache_info().misses == 1
         _verify_row(1.3)
-        assert built == [True]
-
-    def test_unit_arrangement(self):
-        for p in _grid(1.2, 1.5, 100) + [1.05, 1.16, 2.5, 6.0]:
-            pts = _t0_powers(make_exponent(p))
-            A = _unit_arrangement(pts)
-            assert not A.flags.writeable
-            with pytest.raises(ValueError):
-                A[0, 0] = 1.0
-            assert _unit_arrangement(pts) is A
-            for balance, rows in ((True, A), (False, A[:6])):
-                ref = _arrangement(pts, balance)
-                ref /= np.sqrt((ref * ref).sum(axis=1, keepdims=True))
-                assert _same_bits([rows], [ref])
+        assert _arrangement.cache_info().misses == 1
 
     def test_upper_pairs(self):
         for n in (1, 2, 7, 15, 87):
@@ -1320,7 +1309,7 @@ class TestClaimMesh:
     def test_other_caches_bounded(self):
         # one arrangement per exponent (pts stands in for t0's powers), one pair list per vertex count
         pts = [(t, t**1.3, t**0.3) for t in np.linspace(0.1, 0.2, 20).tolist()]
-        for cache, args in ((_unit_arrangement, pts), (_upper_pairs, range(2, 22))):
+        for cache, args in ((_arrangement, pts), (_upper_pairs, range(2, 22))):
             maxsize = cache.cache_info().maxsize
             assert maxsize is not None and maxsize <= 16
             for a in args:
