@@ -246,8 +246,9 @@ def cmd_breakdown(args) -> int:
     Every row is computed before the header is printed.  p and the step are printed with as many
     decimals as the step needs, at least 6 and 4, so no two rows share a label.  p = 2, where
     M_2 = 0 leaves claim 3 without a t0, is a row of its own, status undefined, that neither holds
-    nor is violated; the summary line says that it was not checked.  Not a proof: only the p-step
-    is a resolution, so the largest violating p is known to within one step.
+    nor is violated; the summary line says that it was not checked.  Not a proof: the p-step is a
+    resolution only when a checked p above the largest violating p holds, and the summary says
+    when none does.
     """
     ps = _grid(args.pmin, args.pmax, args.n)
     es = [make_exponent(p) for p in ps]
@@ -268,17 +269,19 @@ def cmd_breakdown(args) -> int:
             violating.append(p)
             w = rep.worst_point
             print(f"{'':>{width}}  witness (a,b,c,d) = ({w.a:.6f}, {w.b:.6f}, {w.c:.6f}, {w.d:.6f})")
-    if all(rep is None for rep in reps):
+    checked = [p for p, rep in zip(ps, reps) if rep is not None]
+    if not checked:
         print("no p checked: claim 3 is undefined at p = 2")
         return 0
     note = "; p = 2 undefined, not checked" if None in reps else ""
     if not violating:
         print(f"no violation found at the scanned p{note}")
     else:
+        # every checked p above the largest violating p holds, so any of them brackets the break
+        bracket = f"resolution {step:.{_decimals(step, 4)}f}" if checked[-1] > violating[-1] else "break not bracketed"
         print(
             f"violations found for {len(violating)} scanned p, "
-            f"largest violating p = {max(violating):.{dp}f} (resolution {step:.{_decimals(step, 4)}f}, not certified)"
-            f"{note}"
+            f"largest violating p = {violating[-1]:.{dp}f} ({bracket}, not certified){note}"
         )
     return 0
 

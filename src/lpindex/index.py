@@ -180,7 +180,7 @@ def _claim_slacks(claim_id: int, a, b, c, d, t2p: float) -> tuple:
         return (b - c, (a + c) - (b + d))
     if claim_id == 2:
         return (d - a, (a + c) - (b + d), c * t2p - (c + a - d))
-    return (d - a, b - c * t2p, b)
+    return (d - a, b - c * t2p)
 
 
 @lru_cache(maxsize=4)
@@ -191,9 +191,8 @@ def _arrangement(pts: tuple[float, float, float]) -> np.ndarray:
     (a, b, -c, -d) and (d, c, -b, -a)), the two max switches and the eight
     F = G candidates: one per sign pattern of the |.| arguments, up to the sign
     of the whole pattern, which gives the same plane.  Each form is linear, so
-    its values at the unit vectors are its normal.  Each row is scaled by its
-    own length, so the first six are the same bits without the F = G rows.
-    Read-only; one table serves the three claims at one exponent.
+    its values at the unit vectors are its normal, scaled to unit length.
+    Read-only; each of the three claims at one exponent reads all of it.
     """
     forms = [(*branch_args(a, b, -c, -d, *pts), *branch_args(d, c, -b, -a, *pts), (a + c) - (b + d), (a + b) - (c + d))
              for a, b, c, d in _UNIT]
@@ -288,16 +287,17 @@ def _solve_triples(H: np.ndarray, prefix: bool) -> tuple[np.ndarray, np.ndarray]
     return cut, N.T.copy()
 
 
-def _ratio_infimum(e: Exponent, constraints: np.ndarray, equality=None, balance: bool = True):
+def _ratio_infimum(e: Exponent, constraints: np.ndarray, equality=None):
     """Least max(F, G) / (||T||_1^(1/p) ||T||_inf^(1/q)) over a, b, c, d >= 0 with constraints @ x >= 0.
 
     constraints is a (k, 4) array of normals, equality (optional) one more
-    normal with equality @ x == 0, and the arrangement is _arrangement at
-    _t0_powers(e), without its F = G planes unless balance.  On a cell of the
-    arrangement the ratio is L / (M1^(1/p) M2^(1/q)), of degree 0, with L, M1
-    and M2 linear.  So in (u, v) = (M1/L, M2/L) its infimum over the cell is
-    the least u^(-1/p) v^(-1/q) over a polygon spanned by the images of the
-    cell's vertices, which is attained at a vertex or at a stationary point
+    normal with equality @ x == 0, and the arrangement is all of _arrangement
+    at _t0_powers(e), for every caller: more planes only split cells, which
+    cannot move the infimum.  On a cell of the arrangement the ratio is
+    L / (M1^(1/p) M2^(1/q)), of degree 0, with L, M1 and M2 linear.  So in
+    (u, v) = (M1/L, M2/L) its infimum over the cell is the least
+    u^(-1/p) v^(-1/q) over a polygon spanned by the images of the cell's
+    vertices, which is attained at a vertex or at a stationary point
     s = -(du v1/p + dv u1/q)/(du dv) in (0, 1) of the segment between two of
     them (concave-convex fractional programming: Dinkelbach 1967, Schaible 1976).
 
@@ -317,7 +317,7 @@ def _ratio_infimum(e: Exponent, constraints: np.ndarray, equality=None, balance:
     vertex it returns (inf, zeros, 0, 0).
     """
     pts = _t0_powers(e)
-    planes = _arrangement(pts) if balance else _arrangement(pts)[:6]
+    planes = _arrangement(pts)
     own = constraints if equality is None else np.concatenate([[equality], constraints])
     own = own / np.sqrt((own * own).sum(axis=1, keepdims=True))
     head = len(own) - len(constraints)
@@ -339,7 +339,7 @@ def _ratio_infimum(e: Exponent, constraints: np.ndarray, equality=None, balance:
     a, b, c, d = V.T
     rp, rq = 1.0 / e.p, 1.0 / e.q
     fg = np.maximum(branch_value(a, b, -c, -d, *pts), branch_value(d, c, -b, -a, *pts))
-    # each vertex's strict sides of the 6 or 14 planes as bits (summed: a first @ costs 0.27 MB of
+    # each vertex's strict sides of the 14 planes as bits (summed: a first @ costs 0.27 MB of
     # resident memory); two vertices share a cell when no plane has them strictly on opposite sides
     side = np.einsum("vc,kc->vk", V, planes)
     bit = 1 << np.arange(len(planes))
@@ -625,12 +625,11 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
     constraints (_claim_slacks) and claim 3's manifold, each read at the unit
     vectors, cut by the planes on whose cells the ratio has one closed form.
     Claims 1-2 range over (a, b, c, d) >= 0; claim 3 over its F = G manifold
-    b = c - (d - a) kappa, kappa = (1 + t0^p)/(t0^(p-1) + t0), with d >= a,
-    b >= c t0^(2-p) and b >= 0.  That set lies inside the region
+    b = c - (d - a) kappa, kappa = (1 + t0^p)/(t0^(p-1) + t0), with d >= a
+    and b >= c t0^(2-p), so b >= 0.  That set lies inside the region
     {d >= a, a + c >= b + d, c + a - d >= c t0^(2-p)} because kappa >= 1:
-    (1 + t^p) - (t^(p-1) + t) = (1 - t)(1 - t^(p-1)) >= 0.  For p < 2,
-    max(F, G) = F on it (G - F = (a - d t0^p) - |a - d t0^p| there), so its
-    enumeration needs no F = G planes.  Does the manifold reach the whole
+    (1 + t^p) - (t^(p-1) + t) = (1 - t)(1 - t^(p-1)) >= 0.  Every claim is
+    cut by the whole arrangement.  Does the manifold reach the whole
     region's infimum?  At p = 1.17064, 1.2, 1.35 and 1.5 the two agree
     (tests/test_index.py, TestExactInfimum::test_claim3_manifold_reaches_the_region).
 
@@ -666,7 +665,7 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
         kappa = (1.0 + tp) / (tp1 + t0)  # the manifold b = c - (d - a) kappa
         equality = np.array([(b - c) + (d - a) * kappa for a, b, c, d in _UNIT])
     constraints = np.array([_claim_slacks(claim_id, *u, t2p) for u in _UNIT]).T
-    _, x, vertices, segments = _ratio_infimum(e, constraints, equality, balance=claim_id != 3 or p >= 2.0)
+    _, x, vertices, segments = _ratio_infimum(e, constraints, equality)
 
     x = x.tolist()
     m = max(x)

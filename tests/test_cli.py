@@ -521,11 +521,34 @@ class TestBreakdown:
         assert lines[0].index("p  ") + 1 == len("  1.17063330")
 
     def test_fine_step_states_its_resolution(self, capsys):
-        # a step of 5e-5 is printed with the 5 decimals it needs, not as 0.0000
-        code, out = run(capsys, "breakdown", "--pmin", "1.17", "--pmax", "1.1701", "--n", "3")
+        # a step of 5e-5 is printed with the 5 decimals it needs, not as 0.0000; 1.17065 holds, so it
+        # brackets the break above 1.1706
+        code, out = run(capsys, "breakdown", "--pmin", "1.1706", "--pmax", "1.1707", "--n", "3")
         assert code == 0
         assert out.splitlines()[-1] == (
-            "violations found for 3 scanned p, largest violating p = 1.170100 (resolution 0.00005, not certified)"
+            "violations found for 1 scanned p, largest violating p = 1.170600 (resolution 0.00005, not certified)"
+        )
+
+    def test_violating_top_row_states_no_resolution(self, capsys):
+        # p* = 1.17063... lies above the grid, so no scanned p brackets the break and the step is no resolution
+        code, out = run(capsys, "breakdown", "--pmin", "1.16", "--pmax", "1.17", "--n", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "violations found for 2 scanned p, largest violating p = 1.170000 (break not bracketed, not certified)"
+        )
+
+    def test_no_checked_p_above_states_no_resolution(self, capsys):
+        # a one-point scan has no step to bracket with, and p = 2 above the violating p is not checked
+        code, out = run(capsys, "breakdown", "--pmin", "1.16", "--pmax", "1.16", "--n", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "violations found for 1 scanned p, largest violating p = 1.160000 (break not bracketed, not certified)"
+        )
+        code, out = run(capsys, "breakdown", "--pmin", "1.16", "--pmax", "2", "--n", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "violations found for 1 scanned p, largest violating p = 1.160000 "
+            "(break not bracketed, not certified); p = 2 undefined, not checked"
         )
 
     def test_rejects_infinite_pmax(self):

@@ -85,6 +85,16 @@ def test_serial_command_loads_no_process_pool(command):
 BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def lpindex_modules(tree: ast.AST) -> dict[str, str]:
+    """The names that `from lpindex import ...` binds in a parsed module, each mapped to its lpindex module."""
+    return {
+        a.asname or a.name: a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "lpindex"
+        for a in node.names
+    }
+
+
 def benchmark_hooks() -> set[tuple[str, str]]:
     """The lpindex (module, attr) pairs that perfbench reaches, read off its source without importing it.
 
@@ -94,12 +104,7 @@ def benchmark_hooks() -> set[tuple[str, str]]:
     hooks = set()
     for path in sorted(BENCHMARK.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        modules = {
-            a.asname or a.name: a.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module == "lpindex"
-            for a in node.names
-        }
+        modules = lpindex_modules(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
                 hooks.add((modules[node.value.id], node.attr))
@@ -118,6 +123,59 @@ def test_benchmark_hooks_resolve():
     assert hooks  # 19 pairs today, so the scan cannot pass vacuously
     missing = [f"{m}.{attr}" for m, attr in sorted(hooks) if not hasattr(importlib.import_module(f"lpindex.{m}"), attr)]
     assert missing == []
+
+
+def unbound_calls(paths) -> tuple[int, list[str]]:
+    """The calls on an lpindex module attribute in paths whose arguments the live signature does not bind.
+
+    Each call's positional count and keyword names are read off the source and bound with
+    inspect.signature; calls with *args or **kwargs are skipped.  Returns (calls checked, failures), each
+    failure as "file:line module.attr: reason".
+    """
+    checked, failures = 0, []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = lpindex_modules(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            func = node.func
+            if not (isinstance(func.value, ast.Name) and func.value.id in modules):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                continue
+            module = modules[func.value.id]
+            signature = inspect.signature(getattr(importlib.import_module(f"lpindex.{module}"), func.attr))
+            checked += 1
+            try:
+                signature.bind(*[None] * len(node.args), **{k.arg: None for k in node.keywords})
+            except TypeError as exc:
+                failures.append(f"{path.name}:{node.lineno} {module}.{func.attr}: {exc}")
+    return checked, failures
+
+
+def test_unbound_calls_finds_a_dropped_keyword(tmp_path):
+    (tmp_path / "bench.py").write_text(
+        "from lpindex import core, index\n"
+        "e = core.make_exponent(1.3)\n"
+        "index.verify_claim_region(3, e, strict=True)\n"
+        "index.estimate_index(e, 8, 0, 1e-9, 2)\n"
+        "index.verify_claim_region(*args, **kwargs)\n"
+    )
+    checked, failures = unbound_calls([tmp_path / "bench.py"])
+    assert checked == 3
+    assert failures == [
+        "bench.py:3 index.verify_claim_region: got an unexpected keyword argument 'strict'",
+        "bench.py:4 index.estimate_index: too many positional arguments",
+    ]
+
+
+def test_benchmark_calls_bind():
+    # a parameter dropped or renamed under a call that perfbench makes passes every
+    # other test but makes every benchmark run fail
+    checked, failures = unbound_calls(sorted(BENCHMARK.glob("*.py")))
+    assert checked >= 10  # 16 calls today, so the scan cannot pass vacuously
+    assert failures == []
 
 
 def unread_private_names(paths) -> list[str]:

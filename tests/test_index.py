@@ -36,6 +36,7 @@ from lpindex import (
 )
 from lpindex import index
 from lpindex.cli import _grid, _verify_row
+from lpindex.critical import objective
 from lpindex.radius import branch_integrand, branch_value
 from lpindex.index import (
     SURROGATE_N,
@@ -895,7 +896,7 @@ class TestClaimGridScoring:
         monkeypatch.setattr(index, "branch_value", recording)
         rep = verify_claim_region(claim_id, make_exponent(1.3))
         assert sizes == [rep.vertices] * 2
-        assert (rep.vertices, rep.segments) == {1: (15, 59), 2: (7, 18), 3: (4, 5)}[claim_id]
+        assert (rep.vertices, rep.segments) == {1: (15, 59), 2: (7, 18), 3: (5, 7)}[claim_id]
 
     def test_verify_row_is_unchanged(self):
         row = _verify_row(1.3)
@@ -1044,13 +1045,12 @@ def _frozen_arrangement(pts, balance):
 
 class TestArrangementMatchesFrozen:
     """_arrangement's planes, evaluated from the formulas at the unit vectors, are the literal table's floats
-    scaled to unit rows: all fourteen rows with the F = G planes, the first six without."""
+    scaled to unit rows, all fourteen with the F = G planes."""
 
-    @pytest.mark.parametrize("balance", [False, True])
     @pytest.mark.parametrize(
         "ps", [_grid(1.2, 1.5, 100), np.linspace(1.05, 6.0, 101).tolist()], ids=["verify-grid", "1.05-6"]
     )
-    def test_rows(self, ps, balance):
+    def test_rows(self, ps):
         for p in ps:
             if p == 2.0:
                 continue
@@ -1060,9 +1060,9 @@ class TestArrangementMatchesFrozen:
             with pytest.raises(ValueError):
                 A[0, 0] = 1.0
             assert _arrangement(pts) is A
-            ref = _frozen_arrangement(pts, balance)
+            ref = _frozen_arrangement(pts, True)
             ref /= np.sqrt((ref * ref).sum(axis=1, keepdims=True))
-            assert _same_bits([A if balance else A[:6]], [ref])
+            assert _same_bits([A], [ref])
 
 
 def _frozen_claim_normals(claim_id, pts, p):
@@ -1072,7 +1072,7 @@ def _frozen_claim_normals(claim_id, pts, p):
     constraints = {
         1: [[0.0, 1.0, -1.0, 0.0], [1.0, -1.0, 1.0, -1.0]],
         2: [[-1.0, 0.0, 0.0, 1.0], [1.0, -1.0, 1.0, -1.0], [-1.0, 0.0, t2p - 1.0, 1.0]],
-        3: [[-1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -t2p, 0.0], [0.0, 1.0, 0.0, 0.0]],
+        3: [[-1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -t2p, 0.0]],
     }[claim_id]
     kappa = (1.0 + tp) / (tp1 + t0)
     return np.array(constraints), None if claim_id != 3 else np.array([-kappa, 1.0, -1.0, kappa])
@@ -1121,8 +1121,8 @@ class TestSolveMatchesFrozen:
     def test_claim_planes(self, monkeypatch, ps, force):
         calls = _claim_solves(monkeypatch, ps, force)
         assert len(calls) == 3 * len(ps)
-        # claim 3 alone has an equality; above p = 2 it takes the F = G planes too
-        assert {(len(H), prefix) for H, prefix, *_ in calls} >= {(20, False), (21, False), (14, True)}
+        # claim 3 alone has an equality; every claim takes the fourteen arrangement planes
+        assert {(len(H), prefix) for H, prefix, *_ in calls} == {(20, False), (21, False), (21, True)}
         for H, prefix, *got in calls:
             assert _same_bits(got, _frozen_solve(H, prefix))
 
@@ -1236,6 +1236,43 @@ class TestRatioInfimumMatchesFrozen:
         assert _same_result(got, _frozen_ratio_infimum(e, np.empty((0, 4))))
 
 
+def _frozen_claim_report(claim_id, p):
+    """(infimum_found, worst_point, feasibility_slack, holds, target) as the six-row form gave them: claim 3
+    below p = 2 cut by the first six arrangement planes alone, with b >= 0 a constraint row of its own."""
+    e = make_exponent(p)
+    pts = _t0_powers(e)
+    t2p = pts[0] ** (2.0 - p)
+    constraints, equality = _frozen_claim_normals(claim_id, pts, p)
+    if claim_id == 3:
+        constraints = np.vstack([constraints, [0.0, 1.0, 0.0, 0.0]])
+    x = _frozen_ratio_infimum(e, constraints, equality, balance=claim_id != 3 or p >= 2.0)[1].tolist()
+    worst = SignPatternOp(*((v if v > 0.0 else 0.0) / max(x) for v in x))
+    value, target = alpha_ratio(worst, e), float(objective(pts[0], e))
+    slack = min(_ref_slacks(claim_id, *worst.as_tuple(), t2p))
+    return value, worst, slack, target - 1e-12 <= value < math.inf, target
+
+
+class TestClaimReportsMatchSixRowForm:
+    """Every claim reads the whole arrangement and claim 3 has no b >= 0 row: more planes only split cells, so the
+    reports equal the six-row form's bit for bit, apart from claim 3's vertex and segment counts below p = 2."""
+
+    @pytest.mark.parametrize(
+        "ps, force",
+        [(_grid(1.2, 1.5, 100), False), (_grid(1.10, 1.21, 23), True),
+         ([p for p in np.linspace(1.05, 6.0, 101).tolist() if p != 2.0], True)],
+        ids=["verify-grid", "breakdown-grid", "forced-1.05-6"],
+    )
+    def test_reports(self, ps, force):
+        for p in ps:
+            for claim_id in (1, 2, 3):
+                rep = verify_claim_region(claim_id, make_exponent(p), force=force)
+                value, worst, slack, holds, target = _frozen_claim_report(claim_id, p)
+                got = (rep.infimum_found, *rep.worst_point.as_tuple(), rep.feasibility_slack, rep.target)
+                ref = (value, *worst.as_tuple(), slack, target)
+                assert [x.hex() for x in got] == [x.hex() for x in ref], (claim_id, p)
+                assert rep.holds is holds
+
+
 class TestClaimMesh:
     """The claim enumeration's caches: the table of plane pairs and triples per plane count, the
     unit-normal arrangement per exponent and the pairs i < j per count, of vertices or planes."""
@@ -1243,8 +1280,7 @@ class TestClaimMesh:
     @pytest.mark.parametrize("claim_id", [1, 2, 3])
     def test_read_only_and_reused(self, monkeypatch, claim_id):
         # one table per plane count: 4 + 2 + 14 and 4 + 3 + 14 planes for
-        # claims 1-2, and 1 + 4 + 3 + 6 for claim 3 (its equality, and no F = G
-        # planes below p = 2)
+        # claims 1-2, and 1 + 4 + 2 + 14 for claim 3 (its equality first)
         sizes = []
         table = index._pair_table
 
@@ -1254,7 +1290,7 @@ class TestClaimMesh:
 
         monkeypatch.setattr(index, "_pair_table", recording)
         verify_claim_region(claim_id, make_exponent(1.3))
-        m = {1: 20, 2: 21, 3: 14}[claim_id]
+        m = {1: 20, 2: 21, 3: 21}[claim_id]
         assert sizes == [m]
         arrays = i, j, pair, k = _pair_table(m)
         assert list(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(m), 2))
@@ -1274,8 +1310,8 @@ class TestClaimMesh:
         for m in range(3, 3 + maxsize + 2):
             _pair_table(m)
         assert _pair_table.cache_info().currsize == maxsize
-        # the three claims' tables (190, 210 and 91 pairs; 1,140, 1,330 and 364 triples), far below a megabyte
-        assert sum(x.nbytes for m in (20, 21, 14) for x in _pair_table(m)) < 100_000
+        # the claims' two tables (190 and 210 pairs; 1,140 and 1,330 triples), far below a megabyte
+        assert sum(x.nbytes for m in (20, 21) for x in _pair_table(m)) < 100_000
 
     def test_index_triples(self):
         i, j, pair, k = _pair_table(7)
@@ -1291,7 +1327,7 @@ class TestClaimMesh:
         assert _fresh_python(code) == "0 0 0"
 
     def test_one_arrangement_per_row(self):
-        # claims 1 and 2 read all of it and claim 3 its first six rows
+        # each of the three claims reads all of it
         _arrangement.cache_clear()
         _verify_row(1.3)
         assert _arrangement.cache_info().misses == 1
