@@ -92,8 +92,8 @@ def _step(pmin: float, pmax: float, n: int) -> float:
 
 
 def _decimals(step: float, least: int) -> int:
-    """Decimals that show a grid step's leading digit, and so tell the grid's points apart; least at the fewest."""
-    return least if step <= 0.0 else max(least, math.ceil(-math.log10(step)))
+    """Decimals that show a grid step's leading digit (step > 0), and so tell its points apart; least at the fewest."""
+    return max(least, math.ceil(-math.log10(step)))
 
 
 def _grid(pmin: float, pmax: float, n: int) -> list[float]:
@@ -119,8 +119,8 @@ def _fail(msg: str) -> int:
 
 def cmd_mp(args) -> int:
     e = make_exponent(args.p)
-    cp = compute_mp(e, tol=args.tol)
-    _print_json("mp", _settings(args.tol), result={"p": e.p, "q": e.q, **asdict(cp)})
+    cp = compute_mp(e)
+    _print_json("mp", _settings(DEFAULT_TOL), result={"p": e.p, "q": e.q, **asdict(cp)})
     return 0
 
 
@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
 def _sweep_row(item) -> dict:
     p, starts, seed, tol = item
     e = make_exponent(p)
-    cp = compute_mp(e, tol=tol)
+    cp = compute_mp(e)
     est = estimate_index(e, starts=starts, seed=seed, tol=tol)
     lower = max(2.0 ** (-1.0 / e.p), 2.0 ** (-1.0 / e.q)) * cp.mp
     return dict(zip(SWEEP_COLUMNS, (p, e.q, cp.t0, cp.mp, lower, est.value, est.gap)))
@@ -244,7 +244,8 @@ def cmd_breakdown(args) -> int:
     """Scan claim 3's F = G manifold for where the lower-bound route fails, one float64 infimum per p.
 
     Every row is computed before the header is printed.  p and the step are printed with as many
-    decimals as the step needs, at least 6 and 4, so no two rows share a label.  p = 2, where
+    decimals as the step needs, at least 6 and 4, so no two rows share a label; a lone p gets the
+    fewest decimals, at least 6, that read back as p, so it is not rounded onto another.  p = 2, where
     M_2 = 0 leaves claim 3 without a t0, is a row of its own, status undefined, that neither holds
     nor is violated; the summary line says that it was not checked.  Not a proof: the p-step is a
     resolution only when a checked p above the largest violating p holds, and the summary says
@@ -254,7 +255,10 @@ def cmd_breakdown(args) -> int:
     es = [make_exponent(p) for p in ps]
     reps = [None if compute_mp(e).degenerate else verify_claim_region(3, e, force=True) for e in es]
     step = _step(args.pmin, args.pmax, args.n)
-    dp = _decimals(step, 6)
+    if len(ps) > 1:
+        dp = _decimals(step, 6)
+    else:
+        dp = next((k for k in range(6, 17) if float(f"{ps[0]:.{k}f}") == ps[0]), 17)
     width = dp + 4
     violating = []
     print(f"{'p':>{width}}  {'inf_found':>12}  {'target':>12}  {'gap':>12}  status")
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--starts", type=int, default=64)
     search.add_argument("--seed", type=int, default=0)
 
-    p_mp = sub.add_parser("mp", parents=[tol], help="critical point t0 and value mp for one exponent")
+    p_mp = sub.add_parser("mp", help="critical point t0 and value mp for one exponent")
     p_mp.add_argument("p", type=float)
     p_mp.set_defaults(fn=cmd_mp)
 

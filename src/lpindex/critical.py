@@ -95,18 +95,17 @@ def phi_derivative(t: float, e: Exponent) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def compute_mp(e: Exponent, tol: float = DEFAULT_TOL) -> CriticalPoint:
+def compute_mp(e: Exponent) -> CriticalPoint:
     """Maximize |t^(p-1) - t|/(1 + t^p) over [0, 1].
 
     maximize_1d at a one-cell tol localizes the argmax to a grid cell without
     refining it, and bisection on the sign of the closed-form derivative
     polishes it wherever a sign change brackets that cell.  Where none does,
     or the bisected root trails the grid's best value by more than rounding
-    noise, maximize_1d at tol gives the result instead; that fallback scans
-    the grid again, and only it reads tol.  Of 20,208 exponents probed in
-    [1.0001, 1e6], only the four within 1e-9 of 2 took it, so tol is nearly
-    inert.  p = 2 is an explicit degenerate branch (the numerator vanishes
-    identically).
+    noise, maximize_1d at DEFAULT_TOL gives the result instead; that fallback
+    scans the grid again.  A probe found it running only at p - 1 < 2.1e-12,
+    at p > 3.1e13 and within 3.4e-8 of p = 2.  p = 2 is an explicit
+    degenerate branch (the numerator vanishes identically).
 
     Within about 1e-10 of p = 2 the returned t0 is rounding noise: the
     numerator t^(p-1) - t carries an absolute error near 1e-16 while its true
@@ -117,11 +116,8 @@ def compute_mp(e: Exponent, tol: float = DEFAULT_TOL) -> CriticalPoint:
 
     The last result is cached, so the several calls that one verify or sweep
     row makes for its exponent compute it once; rows never share an exponent,
-    so one entry is enough.  The cache key is the call as spelled:
-    compute_mp(e) and compute_mp(e, tol=DEFAULT_TOL) are separate entries.
+    so one entry is enough.
     """
-    if not (0.0 < tol < math.inf):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     p = e.p
     if p == 2.0:
         return CriticalPoint(p=p, t0=0.0, mp=0.0, derivative_residual=0.0, degenerate=True)
@@ -154,7 +150,7 @@ def compute_mp(e: Exponent, tol: float = DEFAULT_TOL) -> CriticalPoint:
             resid = sgn * phi_derivative(t_ref, e)
             return CriticalPoint(p=p, t0=t_ref, mp=v_ref, derivative_residual=resid, degenerate=False)
 
-    r = maximize_1d(f, tol)
+    r = maximize_1d(f, DEFAULT_TOL)
     t0, mp = r.argmax, r.value
     resid = sgn * phi_derivative(t0, e) if 0.0 < t0 < 1.0 else math.nan
     return CriticalPoint(p=p, t0=t0, mp=mp, derivative_residual=resid, degenerate=False)

@@ -20,6 +20,15 @@ two linear forms and every constraint linear, so the infimum is taken at a
 vertex of a small plane arrangement or at a closed-form point of a segment
 between two of them; _ratio_infimum enumerates both.  The result is float64
 with stated tolerances (see verify_claim_region), not a proof.
+
+The route over the whole class is self-dual.  Put s = t^(p-1) and
+q = p/(p-1): then s^(q-1) = t and s^q = t^p, so M_q's objective at s is M_p's
+at t and t0(q) = t0(p)^(p-1).  F and G at q on (a, c, b, d) equal F and G at
+p on (a, b, c, d), and swapping b and c swaps ||T||_1 with ||T||_inf, so the
+interpolation bound is unchanged too.  The ratio at q on the swapped class is
+the ratio at p, operator by operator, and so are the infima; the minimizers
+found may still differ, where two points tie
+(tests/test_index.py, TestExactInfimum::test_whole_class_is_self_dual).
 """
 
 from __future__ import annotations
@@ -578,7 +587,8 @@ def estimate_index(e: Exponent, starts: int = 64, seed: int = 0, tol: float = DE
     """Multi-start minimization of v(T)/||T|| over the sign-pattern 4-cube.
 
     Starts are the deterministic rotation start (0, 1, 1, 0) plus starts - 1
-    scrambled-Halton points (_halton(starts - 1, seed)); seed must be >= 0.
+    scrambled-Halton points (_halton(starts - 1, seed)).  starts >= 1,
+    seed >= 0 and a finite tol > 0 are checked before the search runs.
     All starts run one lockstep Nelder-Mead over the grid surrogate.  The
     rotation and each endpoint are folded into the cube, scaled to max entry 1
     and re-evaluated at tol; the least (ratio, a, b, c, d) is the estimate, so
@@ -592,7 +602,9 @@ def estimate_index(e: Exponent, starts: int = 64, seed: int = 0, tol: float = DE
         raise ValueError(f"starts must be >= 1, got {starts}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    mp = compute_mp(e, tol=tol)
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    mp = compute_mp(e)
 
     rotation = np.array([0.0, 1.0, 1.0, 0.0])
     start_pts = np.vstack([rotation, _halton(starts - 1, seed)])
@@ -647,7 +659,8 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
     vertex, infimum_found is inf, holds is False and worst_point is the zero
     operator.  feasibility_slack is the least slack of the claim's constraints
     at worst_point.  Out-of-hypothesis p raises unless force=True; p = 2
-    raises even with force=True, because M_2 = 0 leaves no t0 in (0, 1).
+    raises even with force=True, in _t0_powers, because M_2 = 0 leaves no t0
+    in (0, 1).
     """
     if claim_id not in (1, 2, 3):
         raise ValueError(f"claim_id must be 1, 2 or 3, got {claim_id!r}")
@@ -655,8 +668,6 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
     if not force and not in_range(p, _CLAIM_RANGES[claim_id]):
         lo, hi = _CLAIM_RANGES[claim_id]
         raise ValueError(f"claim {claim_id} requires p in [{lo}, {hi}], got {p!r}")
-    if compute_mp(e).degenerate:
-        raise ValueError(f"claim {claim_id} is undefined at p = 2, where M_2 = 0 and t0 = 0")
     t0, tp, tp1 = _t0_powers(e)
     t2p = t0 ** (2.0 - p)
     target = float(objective(t0, e))

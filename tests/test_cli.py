@@ -71,8 +71,16 @@ class TestMp:
         capsys.readouterr()
 
     def test_settings_header(self, capsys):
-        # no search: no starts, no seed
-        assert run_json(capsys, "mp", "1.3", "--tol", "1e-9")["settings"] == {"tol": 1e-9, "grid_n": 4096}
+        # no search: no starts, no seed; tol is the fallback's fixed DEFAULT_TOL
+        assert run_json(capsys, "mp", "1.3")["settings"] == {"tol": 1e-10, "grid_n": 4096}
+
+    def test_takes_no_tol(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mp", "1.5", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: --tol 1e-9" in captured.err
 
 
 class TestRadius:
@@ -163,7 +171,7 @@ class TestCounterexample:
 
 def _expected_mp():
     e = make_exponent(1.16)
-    return {"p": e.p, "q": e.q, **asdict(compute_mp(e, tol=1e-10))}
+    return {"p": e.p, "q": e.q, **asdict(compute_mp(e))}
 
 
 def _expected_operator(compute):
@@ -195,8 +203,8 @@ def test_result_is_the_library_dataclass(capsys, argv, expected):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mp", "1.5", "--tol", "0"],
-        ["mp", "1.5", "--tol", "nan"],
+        ["opnorm", "1.5", "1", "0", "0", "1", "--tol", "0"],
+        ["index", "3", "--starts", "2", "--tol", "0"],
         ["radius", "1.5", "0", "1", "-1", "0", "--tol", "0"],
         ["opnorm", "1.5", "1", "0", "0", "1", "--tol", "nan"],
         ["index", "3", "--starts", "2", "--tol", "nan"],
@@ -205,7 +213,7 @@ def test_result_is_the_library_dataclass(capsys, argv, expected):
         ["sweep", "--pmax", "inf"],
         ["radius", "1.3", "1e308", "1e308", "1e308", "1e308"],
         ["opnorm", "1.3", "1e308", "1e308", "1e308", "1e308"],
-        ["mp", "1.5", "--tol", "inf"],
+        ["sweep", "--n", "2", "--starts", "2", "--tol", "nan"],
         ["radius", "1.5", "0", "1", "-1", "0", "--tol", "inf"],
         ["index", "3", "--starts", "2", "--tol", "inf"],
     ],
@@ -591,6 +599,17 @@ class TestBreakdown:
             assert single.splitlines()[1] == lines[row]
             assert lines[row].endswith("  holds")
         assert lines[-1] == "no violation found at the scanned p; p = 2 undefined, not checked"
+
+    @pytest.mark.parametrize("p", ["1.1706333", "1.9999999999"])
+    def test_one_point_scan_labels_its_exponent_in_full(self, capsys, p):
+        # no step to size the decimals by: p gets as many as read back as p, so
+        # 1.9999999999 is not labelled as the p = 2 row, 2.000000
+        code, out = run(capsys, "breakdown", "--pmin", p, "--pmax", p, "--n", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].split()[0] == p
+        assert lines[0].index("p  ") + 1 == len(f"  {p}")
+        assert lines[-1] == "no violation found at the scanned p"
 
     def test_one_point_scan_at_p2_checks_nothing(self, capsys):
         # the one row is undefined, so the summary says that no p was checked

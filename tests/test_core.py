@@ -25,6 +25,7 @@ from lpindex.core import (
     _REFINE_POINTS,
     _REFINE_U,
     DEFAULT_GRID_N,
+    DEFAULT_TOL,
     SpherePowers,
     _grid_powers,
     _prescan,
@@ -351,11 +352,11 @@ class TestFloatBookkeeping:
         assert maximize_1d(f, tol) == _array_maximize(f, tol)
 
     @pytest.mark.parametrize("p", [1.0 + 1e-12, 2.0 - 1e-9, 2.0 + 1e-9])
-    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL])  # the fallback's one tol
     def test_compute_mp_fallback(self, p, tol):
         e = make_exponent(p)
         r = _array_maximize(lambda t: mp_objective(t, e), tol)
-        cp = compute_mp(e, tol=tol)
+        cp = compute_mp(e)
         assert (cp.t0, cp.mp) == (r.argmax, r.value)
 
 

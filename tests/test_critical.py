@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -34,9 +35,11 @@ class TestComputeMp:
     def test_conjugate_pair_example(self):
         assert abs(compute_mp(make_exponent(3.0)).mp - compute_mp(make_exponent(1.5)).mp) <= 1e-12
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            compute_mp(make_exponent(1.5), tol=0.0)
+    def test_takes_only_the_exponent(self):
+        # the fallback's tol is DEFAULT_TOL; no call can pass another
+        assert list(inspect.signature(compute_mp).parameters) == ["e"]
+        with pytest.raises(TypeError):
+            compute_mp(make_exponent(1.5), tol=1e-9)
 
     def test_value_recomputable_from_t0(self):
         for p in (1.1, 1.4, 3.0, 7.0):
@@ -59,10 +62,10 @@ class TestComputeMp:
     @pytest.mark.parametrize("p", [1.0 + 1e-12, 2.0 - 1e-9, 2.0 + 1e-9])
     def test_refined_fallback(self, p):
         # no usable derivative sign change around the grid cell: the result is
-        # the shared maximizer refined to tol
+        # the shared maximizer refined to DEFAULT_TOL
         e = make_exponent(p)
         r = maximize_1d(lambda t: objective(t, e), 1e-10)
-        cp = compute_mp(e, tol=1e-10)
+        cp = compute_mp(e)
         assert (cp.t0, cp.mp) == (r.argmax, r.value)
 
     def test_value_in_unit_interval(self):

@@ -226,3 +226,37 @@ def test_unread_private_names_finds_a_dead_helper(tmp_path):
 def test_every_private_name_is_read():
     # a helper left behind after its callers moved on, or kept as an alias, is dead code
     assert unread_private_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
+# A call at p = 1.3 of each public function with a tol, besides maximize_1d itself
+TOL_DRIVERS = {
+    "numerical_radius": lambda e, tol: lpindex.numerical_radius(lpindex.Mat2(1.0, 2.0, 3.0, 4.0), e, tol=tol),
+    "op_norm": lambda e, tol: lpindex.op_norm(lpindex.Mat2(1.0, 2.0, 3.0, 4.0), e, tol=tol),
+    "estimate_index": lambda e, tol: lpindex.estimate_index(e, starts=2, tol=tol),
+}
+
+
+def test_every_public_tol_is_driven():
+    # a tol that reaches no maximizer is a setting that shapes nothing
+    with_tol = {
+        name
+        for name in lpindex.__all__
+        if callable(obj := getattr(lpindex, name))
+        and not inspect.isclass(obj)
+        and "tol" in inspect.signature(obj).parameters
+    }
+    assert with_tol == {"maximize_1d", *TOL_DRIVERS}
+
+
+@pytest.mark.parametrize("name", sorted(TOL_DRIVERS))
+def test_public_tol_reaches_the_maximizer(monkeypatch, name):
+    seen = []
+    for module in (importlib.import_module(f"lpindex.{mod}") for mod in ("critical", "norms", "radius")):
+
+        def recording(objective, tol, maximize=module.maximize_1d):
+            seen.append(tol)
+            return maximize(objective, tol)
+
+        monkeypatch.setattr(module, "maximize_1d", recording)
+    TOL_DRIVERS[name](lpindex.make_exponent(1.3), 1e-7)  # a tol no code uses
+    assert 1e-7 in seen

@@ -264,6 +264,14 @@ class TestEstimateIndex:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             estimate_index(e, seed=-1)
 
+    def test_rejects_bad_tol_before_the_search(self, monkeypatch):
+        def search(fn, x0):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(index, "_nelder_mead_lockstep", search)
+        with pytest.raises(ValueError, match="tol must be finite and > 0, got nan"):
+            estimate_index(make_exponent(1.3), tol=math.nan)
+
 
 def _scalar_runs(obj, starts, ftol=1e-11):
     """_frozen_nelder_mead from each start on a batched objective, one point at a time.
@@ -758,8 +766,9 @@ class TestClaimRegions:
 
     @pytest.mark.parametrize("claim_id", [1, 2, 3])
     def test_forced_at_two_raises(self, claim_id):
-        # M_2 = 0 and t0 = 0: the claim is undefined there, even when forced
-        with pytest.raises(ValueError, match="p = 2"):
+        # M_2 = 0 and t0 = 0: the claim is undefined there, even when forced;
+        # _t0_powers is the one place that refuses it
+        with pytest.raises(ValueError, match=r"^F and G need t0 in \(0, 1\), got t0 = 0\.0 at p = 2\.0$"):
             verify_claim_region(claim_id, make_exponent(2.0), force=True)
 
     def test_claim3_forced_finds_breakdown(self):
@@ -981,6 +990,22 @@ class TestExactInfimum:
         e = make_exponent(p)
         value = _ratio_infimum(e, _claim3_region(p))[0]
         assert abs(verify_claim_region(3, e, force=True).infimum_found - value) <= 1e-15
+
+    @given(st.floats(min_value=1.02, max_value=1.98))
+    @settings(max_examples=60, deadline=None)
+    def test_whole_class_is_self_dual(self, p):
+        # at q = p/(p - 1) the route's infimum is the one at p, and each side's
+        # minimizer with b and c swapped is a minimizer of the other; the
+        # minimizers themselves may be different ones of tied points
+        ep = make_exponent(p)
+        eq = make_exponent(ep.q)
+        vp, xp, _, _ = _ratio_infimum(ep, np.empty((0, 4)))
+        vq, xq, _, _ = _ratio_infimum(eq, np.empty((0, 4)))
+        assert abs(vq - vp) <= 1e-13 * vp
+        for e, v, x in ((ep, vp, xq), (eq, vq, xp)):
+            a, b, c, d = (w if w > 0.0 else 0.0 for w in x.tolist())
+            m = max(a, b, c, d)
+            assert abs(alpha_ratio(SignPatternOp(a / m, c / m, b / m, d / m), e) - v) <= 1e-14 * v
 
     def test_no_feasible_vertex(self):
         # a constraint that only the zero operator meets; verify_claim_region's
