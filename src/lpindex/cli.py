@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import DEFAULT_GRID_N, DEFAULT_TOL, Mat2, make_exponent
 from .critical import HYPOTHESIS_RANGE, compute_mp, in_range, lemma21_bounds
-from .index import SURROGATE_N, estimate_index, remark_counterexample, verify_claim_region
+from .index import HOLDS_BAND, SURROGATE_N, estimate_index, remark_counterexample, verify_claim_region
 from .norms import op_norm
 from .radius import numerical_radius
 
@@ -247,13 +247,14 @@ def cmd_breakdown(args) -> int:
     decimals as the step needs, at least 6 and 4, so no two rows share a label; a lone p gets the
     fewest decimals, at least 6, that read back as p, so it is not rounded onto another.  p = 2, where
     M_2 = 0 leaves claim 3 without a t0, is a row of its own, status undefined, that neither holds
-    nor is violated; the summary line says that it was not checked.  Not a proof: the p-step is a
-    resolution only when a checked p above the largest violating p holds, and the summary says
-    when none does.
+    nor is violated; the summary line says that it was not checked.  So is every p with
+    M_p <= HOLDS_BAND, within about 3e-12 of 2, where holds would check nothing.  Not a proof: the
+    p-step is a resolution only when a checked p above the largest violating p holds, and the
+    summary says when none does.
     """
     ps = _grid(args.pmin, args.pmax, args.n)
     es = [make_exponent(p) for p in ps]
-    reps = [None if compute_mp(e).degenerate else verify_claim_region(3, e, force=True) for e in es]
+    reps = [None if compute_mp(e).mp <= HOLDS_BAND else verify_claim_region(3, e, force=True) for e in es]
     step = _step(args.pmin, args.pmax, args.n)
     if len(ps) > 1:
         dp = _decimals(step, 6)
@@ -264,7 +265,7 @@ def cmd_breakdown(args) -> int:
     print(f"{'p':>{width}}  {'inf_found':>12}  {'target':>12}  {'gap':>12}  status")
     for p, rep in zip(ps, reps):
         if rep is None:
-            print(f"{p:>{width}.{dp}f}  {'-':>12}  {0.0:>12.9f}  {'-':>12}  undefined")  # M_2 = 0
+            print(f"{p:>{width}.{dp}f}  {'-':>12}  {0.0:>12.9f}  {'-':>12}  undefined")  # M_p <= HOLDS_BAND
             continue
         gap = rep.infimum_found - rep.target
         status = "holds" if rep.holds else "VIOLATED"

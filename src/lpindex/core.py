@@ -218,20 +218,14 @@ def _prescan(objective: Callable):
     Returns (best_t, best_y, a, b) as lists of Python floats: the maxima's
     points and values, best first (the first in grid order on ties), and
     their brackets [a, b] between grid neighbours.  A grid local maximum is
-    a point at least as high as each neighbour; the interior ones are found
-    in one pass and the two ends are checked as scalars.
+    a point at least as high as each neighbour, where each end's missing
+    neighbour is -inf, so the ends are found in the same pass as the rest.
     """
     ys = _evaluate(objective, _GRID)
     last = _GRID.size - 1
-    mid = ys[1:-1]
-    inner = ((mid >= ys[:-2]) & (mid >= ys[2:])).nonzero()[0]
-    # the two best interior maxima and the ends that are maxima, in grid order
-    peaks = sorted((inner[np.argsort(-mid[inner], kind="stable")[:2]] + 1).tolist())
-    if ys.item(0) >= ys.item(1):
-        peaks.insert(0, 0)
-    if ys.item(last) >= ys.item(last - 1):
-        peaks.append(last)
-    idx = sorted(peaks, key=ys.item, reverse=True)[:2]  # stable: keeps grid order on ties
+    ext = np.concatenate(([-math.inf], ys, [-math.inf]))
+    peaks = ((ys >= ext[:-2]) & (ys >= ext[2:])).nonzero()[0]
+    idx = peaks[np.argsort(-ys[peaks], kind="stable")[:2]].tolist()  # stable: the first on ties
     return (
         [_GRID.item(i) for i in idx],
         [ys.item(i) for i in idx],

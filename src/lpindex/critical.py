@@ -133,11 +133,9 @@ def compute_mp(e: Exponent) -> CriticalPoint:
     # starts from the grid cell, clear of the singular endpoints.
     lo = max(t0 - h, 1e-12)
     hi = min(t0 + h, 1.0 - 1e-12)
-    if lo < hi and sgn * phi_derivative(lo, e) > 0.0 > sgn * phi_derivative(hi, e):
+    if sgn * phi_derivative(lo, e) > 0.0 > sgn * phi_derivative(hi, e):
         while hi - lo > 2.0 * _EPS * hi:
             mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
             if sgn * phi_derivative(mid, e) > 0.0:
                 lo = mid
             else:

@@ -47,6 +47,10 @@ from .radius import branch_args, branch_value, numerical_radius
 
 _CLAIM_RANGES = {1: (1.0, HYPOTHESIS_RANGE[1]), 2: (1.0, HYPOTHESIS_RANGE[1]), 3: HYPOTHESIS_RANGE}
 
+# holds allows infimum_found this far below target: within about 3e-12 of p = 2,
+# where M_p <= HOLDS_BAND, holds is vacuous for any infimum >= 0
+HOLDS_BAND = 1e-12
+
 REMARK_ENTRIES = (0.0487295, 13.639181, 15.0, 1.0)
 
 # Grid intervals of the index surrogate on t in [0, 1]
@@ -649,13 +653,14 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
     infimum_found is alpha_ratio at worst_point, the enumeration's minimizer
     scaled to max entry 1; vertices and segments count the distinct feasible
     vertices and the vertex pairs that share a cell.  holds is
-    infimum_found >= target - 1e-12.  Three tolerances enter, on unit plane
-    normals and points with a + b + c + d = 1: three planes meet in a vertex
-    only where their determinant with the cut exceeds 1e-13; a slack or side
-    within 1e-12 of 0 counts as on its plane, for feasibility and for the
-    separation test; and vertices equal to 12 decimals are one.  This is
-    float64 arithmetic, exact up to those tolerances and rounding, not a
-    proof.  With no feasible
+    infimum_found >= target - HOLDS_BAND (1e-12), so it checks nothing where
+    target <= HOLDS_BAND, within about 3e-12 of p = 2.  Three tolerances
+    enter, on unit plane normals and points with a + b + c + d = 1: three
+    planes meet in a vertex only where their determinant with the cut exceeds
+    1e-13; a slack or side within 1e-12 of 0 counts as on its plane, for
+    feasibility and for the separation test; and vertices equal to 12
+    decimals are one.  This is float64 arithmetic, exact up to those
+    tolerances and rounding, not a proof.  With no feasible
     vertex, infimum_found is inf, holds is False and worst_point is the zero
     operator.  feasibility_slack is the least slack of the claim's constraints
     at worst_point.  Out-of-hypothesis p raises unless force=True; p = 2
@@ -690,7 +695,7 @@ def verify_claim_region(claim_id: int, e: Exponent, force: bool = False) -> Clai
         p=p,
         infimum_found=value,
         target=target,
-        holds=target - 1e-12 <= value < math.inf,
+        holds=target - HOLDS_BAND <= value < math.inf,
         worst_point=worst,
         feasibility_slack=min(_claim_slacks(claim_id, *worst.as_tuple(), t2p)),
         vertices=vertices,

@@ -620,6 +620,22 @@ class TestBreakdown:
             "no p checked: claim 3 is undefined at p = 2",
         ]
 
+    def test_rows_within_the_holds_band_of_p2_are_undefined(self, capsys):
+        # M_p <= HOLDS_BAND within about 3e-12 of p = 2, where holds would pass any
+        # infimum >= 0: those rows are undefined like p = 2's, and none is checked
+        code, out = run(capsys, "breakdown", "--pmin", "1.999999999999", "--pmax", "2.000000000001", "--n", "3")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"  {p}             -   0.000000000             -  undefined"
+            for p in ("1.999999999999", "2.000000000000", "2.000000000001")
+        ] + ["no p checked: claim 3 is undefined at p = 2"]
+        code, out = run(capsys, "breakdown", "--pmin", "1.999999999999", "--pmax", "1.999999999999", "--n", "1")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "  1.999999999999             -   0.000000000             -  undefined",
+            "no p checked: claim 3 is undefined at p = 2",
+        ]
+
 
 class TestEntrypoint:
     def test_exit_code_and_output(self):

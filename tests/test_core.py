@@ -383,6 +383,8 @@ def _spikes(at, heights, base=0.0):
 _PEAK_ARRAYS["near-tied-interior"] = _spikes((700, 2100, 3500), (_ULP_BELOW_ONE, 1.0, 1.0))
 _PEAK_ARRAYS["near-tied-ends"] = _spikes((0, _N - 1), (_ULP_BELOW_ONE, 1.0), base=0.5)
 _PEAK_ARRAYS["end-and-interior-tie"] = _spikes((0, 1500, _N - 1), (1.0, 1.0, _ULP_BELOW_ONE))
+# -0.0 == +0.0: negated for the sort, they still tie, and the first in grid order wins
+_PEAK_ARRAYS["signed-zero-ties"] = _spikes((0, 1500, _N - 1), (-0.0, 0.0, -0.0), base=-1.0)
 
 
 class TestPrescanPeaks:
@@ -397,7 +399,7 @@ class TestPrescanPeaks:
     def test_edge_arrays(self, name):
         self._assert_matches_six_passes(_PEAK_ARRAYS[name])
 
-    @given(arrays(np.float64, _N, elements=st.sampled_from([-1.0, 0.0, _ULP_BELOW_ONE, 1.0])))
+    @given(arrays(np.float64, _N, elements=st.sampled_from([-1.0, -0.0, 0.0, _ULP_BELOW_ONE, 1.0])))
     @settings(max_examples=100, deadline=None)
     def test_sparse_arrays(self, ys):
         self._assert_matches_six_passes(ys)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -174,8 +175,30 @@ def test_benchmark_calls_bind():
     # a parameter dropped or renamed under a call that perfbench makes passes every
     # other test but makes every benchmark run fail
     checked, failures = unbound_calls(sorted(BENCHMARK.glob("*.py")))
-    assert checked >= 10  # 16 calls today, so the scan cannot pass vacuously
+    assert checked >= 10  # 15 calls today, so the scan cannot pass vacuously
     assert failures == []
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # perfbench is no package: load the file, registered because dataclasses look it up in sys.modules
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCHMARK / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("name", ["radius_corpus", "index_search", "verify_battery"])
+def test_benchmark_round_passes_its_checks(workloads, name):
+    # a change that fails a benchmark item's own checks passes every other test but
+    # counts as failed operations in every benchmark run; one worker keeps it serial
+    items = list(workloads.WORKLOADS[name](1).run_round(0, 1))
+    assert items
+    assert [f for item in items for f in item.failures] == []
 
 
 def unread_private_names(paths) -> list[str]:

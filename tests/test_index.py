@@ -961,7 +961,7 @@ class TestExactInfimum:
                 rep = verify_claim_region(claim_id, e)
                 assert abs(rep.infimum_found - rep.target) <= 2e-16
 
-    @pytest.mark.parametrize("p", [1.2, 1.3, 1.5, 2.5, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("p", [1.17064, 1.2, 1.3, 1.5, 2.5, 3.0, 4.0, 6.0, 6.86])
     def test_whole_class_gives_mp(self, p):
         # over all of a, b, c, d >= 0 the lower-bound ratio's infimum is M_p
         e = make_exponent(p)
@@ -970,6 +970,14 @@ class TestExactInfimum:
         assert abs(value - cp.mp) <= 1e-15
         assert abs(x.sum() - 1.0) <= 1e-15 and (x >= -1e-12).all()
         assert vertices > 0 and segments > 0
+
+    @pytest.mark.parametrize("p", [1.16, 1.1706, 1.17063, 6.8606, 8.0])
+    def test_whole_class_falls_below_mp(self, p):
+        # beyond the route's break the whole class's infimum is below M_p; with
+        # 1.17064 and 6.86 above, this puts p* in (1.17063, 1.17064) and
+        # q* = p*/(p* - 1) in (6.86, 6.8606)
+        e = make_exponent(p)
+        assert _ratio_infimum(e, np.empty((0, 4)))[0] - compute_mp(e).mp < -1e-12
 
     @pytest.mark.parametrize("claim_id", [1, 2, 3])
     @pytest.mark.parametrize("p", [2.5, 3.0, 6.0])
