@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID_N, DEFAULT_TOL, Exponent, maximize_1d
+from .core import DEFAULT_GRID_N, DEFAULT_TOL, Exponent, maximize_1d, sphere_powers
 
 _EPS = sys.float_info.epsilon
 
@@ -74,8 +74,8 @@ def in_range(p: float, bounds: tuple[float, float] = HYPOTHESIS_RANGE) -> bool:
 
 def objective(t, e: Exponent):
     """|t^(p-1) - t| / (1 + t^p), vectorized."""
-    p = e.p
-    return np.abs(t ** (p - 1.0) - t) / (1.0 + t**p)
+    pw = sphere_powers(t, e.p)
+    return np.abs(pw.tp1 - t) / (1.0 + pw.tp)
 
 
 def phi_derivative(t: float, e: Exponent) -> float:

@@ -110,17 +110,12 @@ def op_norm(T: Mat2, e: Exponent, tol: float = DEFAULT_TOL) -> OpNormResult:
     of the coordinates (2 sign cases suffice by homogeneity x -> -x); the
     first sign wins ties.
     """
-    best = None
-    evaluations = 0
-    for sign in (1, -1):
-        r = maximize_1d(_norm_objective(T, e.p, sign), tol)
-        evaluations += r.evaluations
-        if best is None or r.value > best[0].value:
-            best = (r, sign)
-    r, sign = best
+    r1, r2 = (maximize_1d(_norm_objective(T, e.p, sign), tol) for sign in (1, -1))
+    r, sign = max(((r1, 1), (r2, -1)), key=lambda rs: rs[0].value)  # the first on ties
     swapped = r.argmax > 0.5
     u, v = (c.item() for c in sphere_powers(np.array([r.argmax]), e.p).chart)
     witness = Witness(s=v if swapped else u, sign=sign, swapped=swapped, x1=u, x2=sign * v)
+    evaluations = r1.evaluations + r2.evaluations
     return OpNormResult(norm=r.value, witness=witness, tol=tol, evaluations=evaluations, halfwidth=r.tol)
 
 

@@ -24,9 +24,9 @@ from .core import DEFAULT_TOL, Exponent, Mat2, maximize_1d, sphere_powers
 class RadiusResult:
     """Numerical radius with the attained branch and its maximizer.
 
-    branch is "first" or "second"; ties within tol report "first".
-    evaluations counts the objective points of both branch maximizations;
-    halfwidth is the reported branch's final bracket half-width.
+    The larger branch wins, "first" on exact ties, and value, branch, t_star
+    and halfwidth all come from that branch's maximization, at any scale of T.
+    evaluations counts the objective points of both branch maximizations.
     """
 
     value: float
@@ -71,12 +71,10 @@ def branch_integrand(T: Mat2, e: Exponent):
 
 def numerical_radius(T: Mat2, e: Exponent, tol: float = DEFAULT_TOL) -> RadiusResult:
     """Numerical radius via the two-branch closed form."""
-    r1 = maximize_1d(branch_integrand(T, e), tol)
-    r2 = maximize_1d(branch_integrand(conjugate_by_swap(T), e), tol)
-    value = max(r1.value, r2.value)
-    branch, r = ("second", r2) if r2.value > r1.value + tol else ("first", r1)
+    r1, r2 = (maximize_1d(branch_integrand(M, e), tol) for M in (T, conjugate_by_swap(T)))
+    r, branch = max(((r1, "first"), (r2, "second")), key=lambda rb: rb[0].value)  # the first on ties
     return RadiusResult(
-        value=value,
+        value=r.value,
         branch=branch,
         t_star=r.argmax,
         tol=tol,

@@ -101,6 +101,15 @@ class TestRadius:
         assert main(["radius", "1", "0", "1", "-1", "0"]) == 2
         capsys.readouterr()
 
+    def test_branch_at_tiny_scale(self, capsys):
+        # the second branch is the larger here at every scale, 1e-12 included,
+        # and its maximizer 0.916368 is the one found at scale 1
+        res = run_json(capsys, "radius", "50", "--", "1e-12", "2e-12", "-3e-12", "5e-13")["result"]
+        unit = run_json(capsys, "radius", "50", "--", "1", "2", "-3", "0.5")["result"]
+        assert res["branch"] == unit["branch"] == "second"
+        assert res["t_star"] == pytest.approx(unit["t_star"], abs=1e-6)
+        assert res["t_star"] == pytest.approx(0.916368, abs=1e-6)
+
     def test_settings_header(self, capsys):
         doc = run_json(capsys, "radius", "1.3", "0", "1", "-1", "0")
         assert doc["settings"] == {"tol": 1e-10, "grid_n": 4096}
